@@ -34,7 +34,6 @@ from .enumeration import (
     count_vs_main_term,
     find_witness,
     main_term_constant,
-    primitive_vectors,
     witness_table,
 )
 from .errors import (
@@ -149,7 +148,6 @@ __all__ = [
     "normalize",
     "parse_form",
     "plus_part",
-    "primitive_vectors",
     "projection_concentration",
     "projection_survey",
     "shift_exponential",

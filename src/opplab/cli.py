@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -99,8 +100,22 @@ def _config_from_args(command: str, args: argparse.Namespace) -> ExperimentConfi
     return ExperimentConfig(command=command, params=params)
 
 
+def _finite_float(text: str) -> float:
+    """A float option value; NaN, infinities and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(str(exc)) from None
     if not values:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
     return values
@@ -299,32 +314,32 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dichotomy", help="decide rational-approximation vs small-values branch")
     form_arg(p)
-    p.add_argument("--R", type=float, required=True, help="entry bound for the integral approximation")
-    p.add_argument("--T", type=float, required=True, help="vector norm budget for the witness search")
-    p.add_argument("--eps", type=float, default=None, help="witness tolerance (default R^-k_exp)")
-    p.add_argument("--grid", type=float, default=0.1, help="target grid step")
-    p.add_argument("--a-exp", type=float, default=4.0)
-    p.add_argument("--k-exp", type=float, default=0.125)
-    p.add_argument("--coverage-floor", type=float, default=0.9, help="witnessed fraction below this exits 2")
+    p.add_argument("--R", type=_finite_float, required=True, help="entry bound for the integral approximation")
+    p.add_argument("--T", type=_finite_float, required=True, help="vector norm budget for the witness search")
+    p.add_argument("--eps", type=_finite_float, default=None, help="witness tolerance (default R^-k_exp)")
+    p.add_argument("--grid", type=_finite_float, default=0.1, help="target grid step")
+    p.add_argument("--a-exp", type=_finite_float, default=4.0)
+    p.add_argument("--k-exp", type=_finite_float, default=0.125)
+    p.add_argument("--coverage-floor", type=_finite_float, default=0.9, help="witnessed fraction below this exits 2")
     common(p, "json")
     p.set_defaults(func=cmd_dichotomy)
 
     p = sub.add_parser("witness", help="table of near-representations over a grid of targets")
     form_arg(p)
-    p.add_argument("--s-min", type=float, default=-5.0)
-    p.add_argument("--s-max", type=float, default=5.0)
-    p.add_argument("--grid", type=float, default=0.1, help="target grid step")
-    p.add_argument("--eps", type=float, default=0.02, help="tolerance |Q(v) - s| <= eps")
-    p.add_argument("--T", type=float, required=True, help="vector norm bound")
+    p.add_argument("--s-min", type=_finite_float, default=-5.0)
+    p.add_argument("--s-max", type=_finite_float, default=5.0)
+    p.add_argument("--grid", type=_finite_float, default=0.1, help="target grid step")
+    p.add_argument("--eps", type=_finite_float, default=0.02, help="tolerance |Q(v) - s| <= eps")
+    p.add_argument("--T", type=_finite_float, required=True, help="vector norm bound")
     common(p, "csv")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("count", help="integer-vector value counts against the volume main term")
     form_arg(p)
-    p.add_argument("--a", type=float, required=True, help="window lower endpoint")
-    p.add_argument("--b", type=float, required=True, help="window upper endpoint")
+    p.add_argument("--a", type=_finite_float, required=True, help="window lower endpoint")
+    p.add_argument("--b", type=_finite_float, required=True, help="window upper endpoint")
     p.add_argument("--T", type=str, required=True, help="comma-separated norm bounds")
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=_finite_float, default=0.05)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     common(p, "csv")
@@ -332,7 +347,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cq", help="Monte Carlo estimate of the counting constant")
     form_arg(p)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=_finite_float, default=0.05)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     common(p, "json")
@@ -349,7 +364,7 @@ def _build_parser() -> _Parser:
     form_arg(p)
     p.add_argument("--T", type=str, required=True, help="comma-separated flow times")
     p.add_argument("--N", type=int, default=400, help="number of unipotent samples")
-    p.add_argument("--f-radius", type=float, default=2.0)
+    p.add_argument("--f-radius", type=_finite_float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     common(p, "csv")
     p.set_defaults(func=cmd_equidist)
@@ -357,17 +372,17 @@ def _build_parser() -> _Parser:
     def theta_args(p):
         p.add_argument("--theta", default=None, help="configuration as inline JSON or a file path")
         p.add_argument("--random-theta", type=int, default=None, help="sample this many points in a ball instead")
-        p.add_argument("--ball-radius", type=float, default=1.0)
+        p.add_argument("--ball-radius", type=_finite_float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("projection", help="concentration survey of the restricted projections")
     theta_args(p)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=0.02, help="concentration scale")
-    p.add_argument("--b1", type=float, default=None, help="finest non-concentration scale (default: b)")
-    p.add_argument("--pvare", type=float, default=None, help="epsilon in the thresholds (default: alpha/20000)")
-    p.add_argument("--C", type=float, default=10.0, help="constant factor in the count bound")
-    p.add_argument("--c", type=float, default=10.0, help="epsilon multiplier in the count bound exponent")
+    p.add_argument("--alpha", type=_finite_float, default=2.0)
+    p.add_argument("--b", type=_finite_float, default=0.02, help="concentration scale")
+    p.add_argument("--b1", type=_finite_float, default=None, help="finest non-concentration scale (default: b)")
+    p.add_argument("--pvare", type=_finite_float, default=None, help="epsilon in the thresholds (default: alpha/20000)")
+    p.add_argument("--C", type=_finite_float, default=10.0, help="constant factor in the count bound")
+    p.add_argument("--c", type=_finite_float, default=10.0, help="epsilon multiplier in the count bound exponent")
     p.add_argument("--r-count", type=int, default=500, help="uniform grid size on [0, 1]")
     p.add_argument("--r-grid", type=str, default=None, help="explicit comma-separated r values instead")
     common(p, "csv")
@@ -375,9 +390,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("margulis", help="transported truncated-energy ratios on a finite configuration")
     theta_args(p)
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--ell", type=float, default=1.0, help="diagonal flow time")
-    p.add_argument("--b", type=float, default=0.02, help="near-return scale")
+    p.add_argument("--alpha", type=_finite_float, default=1.5)
+    p.add_argument("--ell", type=_finite_float, default=1.0, help="diagonal flow time")
+    p.add_argument("--b", type=_finite_float, default=0.02, help="near-return scale")
     p.add_argument("--M", type=int, default=2, help="truncation: how many smallest returns to drop")
     p.add_argument("--r-samples", type=int, default=8, help="stratified unipotent times")
     common(p, "json")

@@ -1,29 +1,30 @@
 """Integer vectors and values of ternary forms: witnesses, counts, C_Q.
 
-Three consumers share the machinery in this module:
+One window enumerator, _window_hits, lists every nonzero integer vector v
+with |v| <= T and a <= Q(v) <= b, pruning the innermost coordinate through
+the quadratic formula.  Two consumers share it:
 
-* primitive_vectors / find_witness / witness_table walk primitive integer
-  vectors outward in shells of growing norm, evaluate the form, and search
-  for near-hits of target values;
-* count_values counts ALL nonzero integer vectors (both signs, imprimitive
-  included) whose value lands in a window [a, b], pruning the innermost
-  coordinate through the quadratic formula;
-* main_term_constant estimates the coarea constant
+* count_values counts its hits (both signs, imprimitive included);
+* find_witness / witness_table run it over doubling norm shells on the
+  window spanned by the targets, keep the canonical primitive hits, and
+  pick the minimal one for each target.
 
-      C_Q = lim vol{v in B(0,1): |Q(v)| <= delta} / (2*delta)
+main_term_constant estimates the coarea constant
 
-  by Monte Carlo, which is the main-term constant of the counting
-  asymptotic  #{v: |v| <= T, a <= Q(v) <= b} ~ C_Q (b-a) T.
+    C_Q = lim vol{v in B(0,1): |Q(v)| <= delta} / (2*delta)
+
+by Monte Carlo, which is the main-term constant of the counting asymptotic
+#{v: |v| <= T, a <= Q(v) <= b} ~ C_Q (b-a) T.
 
 Witness conventions: vectors are canonicalized up to sign (first nonzero
-coordinate positive), enumerated in lexicographic (|v|^2, v) order, and a
+coordinate positive), ordered lexicographically by (|v|^2, v), and a
 returned witness is the minimal-norm hit with lexicographic tie-break, so
 all outputs are deterministic.
 
-Candidate generation everywhere is a superset pass (interval bounds padded
-by one integer, windows widened by the classification blur) followed by an
-exact membership mask that reevaluates the form the same way a brute-force
-oracle would; counts therefore match plain loops bit for bit.
+Candidate generation is a superset pass (interval bounds padded by one
+integer, windows widened by the classification blur) followed by an exact
+membership mask that reevaluates the form the same way a brute-force oracle
+would; counts therefore match plain loops bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import CapacityExceeded, DefiniteForm
 from .forms import NormalizedForm, TernaryForm
 from .util import chunk_sizes, parallel_map, spawn_rngs, uniform_ball, weighted_mean_stderr
 
-#: Hard ceiling on lattice points an enumeration may touch (spec default).
+#: Hard ceiling on lattice points an enumeration may touch (spec default):
+#: the padded window candidates of _window_hits, summed over all its calls.
 DEFAULT_CEILING = 10**9
 
 _SHELL_BASE = 8.0
@@ -96,79 +98,6 @@ def _shell_windows(T: float) -> Iterator[tuple[float, float]]:
             return
         lo2 = hi2
         hi *= 2.0
-
-
-def _canonical_primitive_slices(lo2: float, hi2: float, counter: _Capacity):
-    """Canonical primitive vectors with lo2 < |v|^2 <= hi2, one slice per x.
-
-    Yields (x, vectors (k,3) int64, norms2 (k,) int64).  Canonical means the
-    first nonzero coordinate is positive: x >= 1 free y,z; x = 0 takes y >= 0
-    with the (0,0,z) line restricted to z >= 1.  Square-root bounds are padded
-    by one and the exact integer norm mask decides membership, so floating
-    point can neither miss nor duplicate a vector across shells.
-    """
-    xmax = int(math.floor(math.sqrt(hi2))) + 1
-    for x in range(0, xmax + 1):
-        rem = hi2 - float(x) * float(x)
-        if rem < 0:
-            continue
-        ymax = int(math.floor(math.sqrt(rem))) + 1
-        ys = np.arange(0 if x == 0 else -ymax, ymax + 1, dtype=np.int64)
-        remy = rem - ys.astype(float) ** 2
-        zhi = np.floor(np.sqrt(np.maximum(remy, 0.0))).astype(np.int64) + 1
-        low = (lo2 - float(x) * float(x)) - ys.astype(float) ** 2
-        zlo = np.where(
-            low < 0, 0, np.floor(np.sqrt(np.maximum(low, 0.0))).astype(np.int64) - 1
-        )
-        zlo = np.maximum(zlo, 0)
-
-        pos_start, pos_stop = zlo.copy(), zhi
-        neg_start, neg_stop = -zhi, -np.maximum(zlo, 1)
-        if x == 0:
-            pos_start[0] = max(pos_start[0], 1)  # the (0,0,z) line: z >= 1 only
-            neg_stop = neg_stop.copy()
-            neg_stop[0] = neg_start[0] - 1
-        n_pos = np.maximum(pos_stop - pos_start + 1, 0).sum()
-        n_neg = np.maximum(neg_stop - neg_start + 1, 0).sum()
-        counter.add(int(n_pos + n_neg))
-        zp, op = _ragged_aranges(pos_start, pos_stop)
-        zn, on = _ragged_aranges(neg_start, neg_stop)
-        z = np.concatenate((zp, zn))
-        yy = ys[np.concatenate((op, on))]
-        if len(z) == 0:
-            continue
-
-        n2 = x * x + yy * yy + z * z
-        keep = (n2 > lo2) & (n2 <= hi2)
-        keep &= np.gcd(np.gcd(np.abs(yy), np.abs(z)), x) == 1
-        if not np.any(keep):
-            continue
-        yy, z, n2 = yy[keep], z[keep], n2[keep]
-        v = np.empty((len(z), 3), dtype=np.int64)
-        v[:, 0] = x
-        v[:, 1] = yy
-        v[:, 2] = z
-        yield x, v, n2
-
-
-def primitive_vectors(T: float, ceiling: Optional[int] = DEFAULT_CEILING):
-    """Yield every primitive v with 0 < |v| <= T, once per {v, -v} pair.
-
-    Representatives have their first nonzero coordinate positive; the order
-    is lexicographic by (|v|^2, v1, v2, v3).
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    counter = _Capacity(ceiling)
-    for lo2, hi2 in _shell_windows(T):
-        parts = [(v, n2) for _, v, n2 in _canonical_primitive_slices(lo2, hi2, counter)]
-        if not parts:
-            continue
-        v = np.concatenate([p[0] for p in parts])
-        n2 = np.concatenate([p[1] for p in parts])
-        order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
-        for idx in order:
-            yield (int(v[idx, 0]), int(v[idx, 1]), int(v[idx, 2]))
 
 
 @dataclass(frozen=True)
@@ -251,60 +180,57 @@ def witness_table(
 ) -> WitnessTable:
     """Minimal-norm primitive witnesses |Q(v) - s| <= eps for a grid of s.
 
-    A degenerate grid (s_min = s_max) yields the single target s_min.  The
-    search stops as soon as every target is witnessed, so easy targets never
-    pay for the full ball of radius T.
+    A degenerate grid (s_min = s_max) yields the single target s_min.  Each
+    doubling shell lo2 < |v|^2 <= hi2 takes the window hits of the ball
+    |v|^2 <= hi2 on the span of all targets, so the ceiling bounds the
+    padded window candidates summed over the shells walked, not the lattice
+    points of the ball.  The search stops as soon as every target is
+    witnessed, so easy targets never pay for the full ball of radius T.
     """
     form = _as_form(q)
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if s_min > s_max:
-        raise ValueError(f"need s_min <= s_max, got {s_min} > {s_max}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 1 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    if not -math.inf < s_min <= s_max < math.inf:
+        raise ValueError(f"need finite s_min <= s_max, got {s_min}, {s_max}")
     targets = _grid(s_min, s_max, step)
-    n_t = len(targets)
-    records: list[Optional[WitnessRecord]] = [None] * n_t
-    resolved = [False] * n_t
+    records: list[Optional[WitnessRecord]] = [None] * len(targets)
+    # a superset of every target's window; |Q(v) - s| <= eps decides below
     pad = eps * 1e-9 + 1e-300
+    win_lo, win_hi = targets[0] - eps - pad, targets[-1] + eps + pad
     counter = _Capacity(ceiling)
 
     for lo2, hi2 in _shell_windows(T):
-        shell_best: dict[int, tuple[tuple, tuple[int, int, int], float]] = {}
-        for _, v, n2 in _canonical_primitive_slices(lo2, hi2, counter):
-            vals = form.evaluate(v)
-            order = np.argsort(vals, kind="stable")
-            sorted_vals = vals[order]
-            for ti in range(n_t):
-                if resolved[ti]:
-                    continue
-                s = targets[ti]
-                lo_i = np.searchsorted(sorted_vals, s - eps - pad, side="left")
-                hi_i = np.searchsorted(sorted_vals, s + eps + pad, side="right")
-                if hi_i <= lo_i:
-                    continue
-                cand = order[lo_i:hi_i]
-                cand = cand[np.abs(vals[cand] - s) <= eps]  # authoritative window
-                if len(cand) == 0:
-                    continue
-                cv, cn = v[cand], n2[cand]
-                k = np.lexsort((cv[:, 2], cv[:, 1], cv[:, 0], cn))[0]
-                key = (int(cn[k]), int(cv[k, 0]), int(cv[k, 1]), int(cv[k, 2]))
-                prev = shell_best.get(ti)
-                if prev is None or key < prev[0]:
-                    shell_best[ti] = (key, (key[1], key[2], key[3]), float(vals[cand[k]]))
-        for ti, (key, vec, value) in shell_best.items():
+        blocks = list(_window_hits(form, win_lo, win_hi, math.sqrt(hi2), counter))
+        if not blocks:
+            continue
+        v = np.concatenate([blk[0] for blk in blocks])
+        vals = np.concatenate([blk[1] for blk in blocks])
+        n2 = np.einsum("ij,ij->i", v, v)
+        first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
+        keep = (n2 > lo2) & (first > 0) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
+        v, vals, n2 = v[keep], vals[keep], n2[keep]
+        order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
+        v, vals, n2 = v[order], vals[order], n2[order]
+        for ti, s in enumerate(targets):
+            if records[ti] is not None:
+                continue
+            hit = np.flatnonzero(np.abs(vals - s) <= eps)  # authoritative window
+            if len(hit) == 0:
+                continue
+            k = hit[0]
+            value = float(vals[k])
             records[ti] = WitnessRecord(
-                s=targets[ti],
-                v=vec,
+                s=s,
+                v=(int(v[k, 0]), int(v[k, 1]), int(v[k, 2])),
                 value=value,
-                gap=abs(value - targets[ti]),
-                norm=math.sqrt(key[0]),
+                gap=abs(value - s),
+                norm=math.sqrt(int(n2[k])),
             )
-            resolved[ti] = True
-        if all(resolved):
+        if all(rec is not None for rec in records):
             break
     return WitnessTable(targets=targets, records=records, eps=eps, T=T)
 
@@ -317,22 +243,17 @@ def find_witness(
     return table.records[0]
 
 
-def count_values(
-    q, a: float, b: float, T: float, ceiling: Optional[int] = DEFAULT_CEILING
-) -> int:
-    """#{v integer, v != 0, |v| <= T, a <= Q(v) <= b}, exactly.
+def _window_hits(
+    form: TernaryForm, a: float, b: float, T: float, counter: _Capacity
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (v (k,3) int64, Q(v) (k,)) of v != 0, |v| <= T, a <= Q(v) <= b.
 
-    Both signs and imprimitive vectors are counted; only v = 0 is excluded.
-    The innermost coordinate (the one with the largest |diagonal| entry) is
-    pruned with the quadratic formula; candidates from the padded intervals
-    then pass through an exact evaluate-and-compare mask, so the result
-    matches a brute-force triple loop exactly.
+    Every such vector is yielded exactly once, both signs and imprimitive
+    vectors included.  The innermost coordinate (the one with the largest
+    |diagonal| entry) is pruned with the quadratic formula; candidates from
+    the padded intervals then pass through an exact evaluate-and-compare
+    mask, so the hits match a brute-force triple loop exactly.
     """
-    form = _as_form(q)
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
     M = form.matrix
     k = int(np.argmax(np.abs(np.diag(M))))
     i, j = (ax for ax in range(3) if ax != k)
@@ -352,8 +273,6 @@ def count_values(
     w_lo, w_hi = (-b, -a) if flip else (a, b)
     quad = alpha > tol
 
-    counter = _Capacity(ceiling)
-    total = 0
     u_max = int(math.floor(T + 1e-9))
     for u in range(-u_max, u_max + 1):
         ru2 = T2 - float(u) * float(u)
@@ -419,8 +338,26 @@ def count_values(
             keep &= (u * u + vv * vv + w * w) <= T2
             if u == 0:
                 keep &= (vv != 0) | (w != 0)
-            total += int(np.count_nonzero(keep))
-    return total
+            hit = np.flatnonzero(keep)
+            if len(hit):
+                yield cand[hit], vals[hit]
+
+
+def count_values(
+    q, a: float, b: float, T: float, ceiling: Optional[int] = DEFAULT_CEILING
+) -> int:
+    """#{v integer, v != 0, |v| <= T, a <= Q(v) <= b}, exactly.
+
+    Both signs and imprimitive vectors are counted; only v = 0 is excluded.
+    The count is the number of _window_hits, so it matches a brute-force
+    triple loop exactly.
+    """
+    form = _as_form(q)
+    if not -math.inf < a <= b < math.inf:
+        raise ValueError(f"need finite a <= b, got a={a}, b={b}")
+    if not 1 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    return sum(len(v) for v, _ in _window_hits(form, a, b, T, _Capacity(ceiling)))
 
 
 def _int_bounds(x: np.ndarray, is_start: bool) -> np.ndarray:

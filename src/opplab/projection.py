@@ -357,17 +357,13 @@ def projection_survey(
 class MargulisParams:
     """Knobs of the truncated-energy function.
 
-    inj is frozen to 1 in this linearized simulator; ell, scale and kappa
-    are carried for experiment bookkeeping and do not enter margulis_value.
+    inj is frozen to 1 in this linearized simulator.
     """
 
     b: float
     truncation: int
     alpha: float
     inj: float = 1.0
-    ell: float = 0.0
-    scale: float = 0.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.b <= 0.1:

@@ -83,6 +83,11 @@ def test_golden_json_outputs_parse():
         ["cq", "--form", "[1,1,1]"],  # definite form
         ["margulis", "--alpha", "1.5"],  # neither --theta nor --random-theta
         ["witness", "--form", "/nonexistent/path.json", "--T", "10"],
+        ["witness", "--form", "[1,-1,-1]", "--T", "nan"],
+        ["witness", "--form", "[1,-1,-1]", "--T", "inf"],
+        ["witness", "--form", "[1,-1,-1]", "--T", "10", "--eps", "nan"],
+        ["count", "--form", "[1,-1,-1]", "--a", "-1", "--b", "1", "--T", "nan"],
+        ["dichotomy", "--form", "[1,-1,-1]", "--R", "2", "--T", "nan"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -218,3 +223,5 @@ def test_float_list_parsing():
         _float_list("")
     with pytest.raises(ValueError):
         _float_list("a,b")
+    with pytest.raises(ValueError):
+        _float_list("1,nan")

@@ -1,4 +1,4 @@
-"""Tests for primitive enumeration, witness search, value counts, and C_Q."""
+"""Tests for witness search, value counts, and C_Q."""
 
 import math
 
@@ -13,7 +13,6 @@ from opplab.enumeration import (
     count_vs_main_term,
     find_witness,
     main_term_constant,
-    primitive_vectors,
     witness_table,
 )
 from opplab.errors import CapacityExceeded, DefiniteForm, DegenerateForm
@@ -21,17 +20,6 @@ from opplab.forms import REFERENCE_FORM, TernaryForm, normalize
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
 PI_SQRT2 = math.pi * math.sqrt(2.0)
-
-
-def brute_primitive_set(T):
-    lim = int(math.floor(T))
-    rng = np.arange(-lim, lim + 1)
-    g = np.meshgrid(rng, rng, rng, indexing="ij")
-    v = np.stack([x.ravel() for x in g], axis=1)
-    n2 = np.einsum("ij,ij->i", v, v)
-    keep = (n2 > 0) & (n2 <= T * T)
-    keep &= np.gcd(np.gcd(np.abs(v[:, 0]), np.abs(v[:, 1])), np.abs(v[:, 2])) == 1
-    return {tuple(int(x) for x in row) for row in v[keep]}
 
 
 def brute_count(form, a, b, T):
@@ -87,39 +75,6 @@ def cone_constant_diag(a, b, c):
     return val / math.sqrt(a)
 
 
-def test_primitive_vectors_tiny_radii():
-    assert list(primitive_vectors(1.0)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    got = list(primitive_vectors(1.5))
-    assert got == [
-        (0, 0, 1), (0, 1, 0), (1, 0, 0),
-        (0, 1, -1), (0, 1, 1), (1, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, 0),
-    ]
-
-
-def test_primitive_vectors_brute_set_equality():
-    for T in (2.0, 7.3, 13.0, 30.0):
-        reps = list(primitive_vectors(T))
-        assert len(set(reps)) == len(reps)
-        for v in reps:
-            first = next(c for c in v if c != 0)
-            assert first > 0
-        full = {v for v in reps} | {tuple(-c for c in v) for v in reps}
-        assert full == brute_primitive_set(T)
-
-
-def test_primitive_vectors_sorted_by_norm_then_lex():
-    reps = list(primitive_vectors(12.0))
-    keys = [(v[0] ** 2 + v[1] ** 2 + v[2] ** 2, v) for v in reps]
-    assert keys == sorted(keys)
-
-
-def test_primitive_vectors_validation_and_ceiling():
-    with pytest.raises(ValueError):
-        list(primitive_vectors(0.5))
-    with pytest.raises(CapacityExceeded):
-        list(primitive_vectors(50.0, ceiling=1000))
-
-
 def test_find_witness_rational_isotropic():
     rec = find_witness(normalize(TernaryForm(1.0, -1.0, -1.0)), 0.0, 1e-12, 2.0)
     assert rec.v == (1, -1, 0)  # first isotropic vector in enumeration order
@@ -144,18 +99,30 @@ def test_find_witness_absence_matches_brute():
 
 def test_find_witness_minimality_matches_brute():
     rng = np.random.default_rng(31)
-    for _ in range(6):
-        s = float(rng.uniform(-2.0, 2.0))
-        rec = find_witness(SQF2, s, 0.05, 60.0)
-        want = brute_min_witness(SQF2.form, s, 0.05, 60.0)
-        if rec is None:
-            assert want is None
-            continue
-        n2, x, y, z = want
-        assert rec.v == (x, y, z)
-        assert rec.norm == pytest.approx(math.sqrt(n2), rel=1e-15)
-        assert abs(rec.value - s) <= 0.05
-        assert rec.gap == abs(rec.value - s)
+    forms = [
+        SQF2.form,
+        REFERENCE_FORM,
+        TernaryForm(0.3, -0.9, 1.7, 0.4, -1.1, 0.2),
+        TernaryForm(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),  # 2xy: the linear branch
+        normalize(TernaryForm(*rng.normal(size=6))).form,
+    ]
+    for form in forms:
+        for eps in (0.05, 1e-3):
+            targets = [float(t) for t in rng.uniform(-2.0, 2.0, size=5)]
+            # the value of a short primitive vector: a target that has a witness
+            v0 = np.array([1, *rng.integers(-6, 7, size=2)])
+            targets.append(float(form.evaluate(v0)))
+            for s in targets:
+                rec = find_witness(form, s, eps, 30.0)
+                want = brute_min_witness(form, s, eps, 30.0)
+                if rec is None:
+                    assert want is None, (form.entries, s, eps)
+                    continue
+                n2, x, y, z = want
+                assert rec.v == (x, y, z), (form.entries, s, eps)
+                assert rec.norm == pytest.approx(math.sqrt(n2), rel=1e-15)
+                assert abs(rec.value - s) <= eps
+                assert rec.gap == abs(rec.value - s)
 
 
 def test_witness_record_fields_selfconsistent():
@@ -194,6 +161,13 @@ def test_witness_table_single_target_and_validation():
         witness_table(SQF2, -1.0, 1.0, 0.5, -0.1, 10.0)
     with pytest.raises(ValueError):
         witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, bad)
+        with pytest.raises(ValueError):
+            witness_table(SQF2, -1.0, 1.0, 0.5, bad, 10.0)
+    with pytest.raises(CapacityExceeded):
+        witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, 50.0, ceiling=100)
 
 
 def test_witness_csv_header_frozen():
@@ -245,6 +219,12 @@ def test_count_values_validation():
         count_values(SQF2, 1.0, -1.0, 10.0)
     with pytest.raises(ValueError):
         count_values(SQF2, -1.0, 1.0, 0.9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            count_values(SQF2, -1.0, 1.0, bad)
+    for a, b in ((math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf)):
+        with pytest.raises(ValueError):
+            count_values(SQF2, a, b, 10.0)
     with pytest.raises(CapacityExceeded):
         count_values(SQF2, -1.0, 1.0, 200.0, ceiling=100)
 
