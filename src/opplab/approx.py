@@ -224,8 +224,8 @@ def best_rational_approx(
     upper bound otherwise.  Ties resolve to the lexicographically least
     canonical representative, so results are deterministic.
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
     q6 = np.asarray(_as_entries(q), dtype=float)
     r = int(math.floor(R))
     if r <= exhaustive_limit:
@@ -311,8 +311,8 @@ def dichotomy_report(
     R^(-k_exp)); a grid coarser than that span degenerates to the single
     target s = 0.
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
     if T < R**a_exp:
         raise ValueError(f"need T >= R**a_exp = {R**a_exp:.6g} for a meaningful threshold")
     qn = q if isinstance(q, NormalizedForm) else normalize(q)

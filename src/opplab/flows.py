@@ -268,12 +268,12 @@ def siegel_average(
     reduction with honest randomization).  min_inj reports the shortest
     lattice vector seen over all samples, a Mahler-compactness diagnostic.
     """
-    if T <= 1:
-        raise ValueError(f"T must be > 1, got {T}")
+    if not 1 < T < math.inf:
+        raise ValueError(f"T must be finite and > 1, got {T}")
     if N < 10:
         raise ValueError(f"N must be >= 10, got {N}")
-    if f_radius <= 0:
-        raise ValueError(f"f_radius must be positive, got {f_radius}")
+    if not 0 < f_radius < math.inf:
+        raise ValueError(f"f_radius must be finite and positive, got {f_radius}")
     rng = np.random.default_rng(seed)
     rs = (np.arange(N) + rng.random(N)) / N
     a_mat = flow_a(math.log(T)).mat

@@ -35,6 +35,16 @@ where dropping exactly the M smallest norms realizes the minimum over all
 ways to discard M returns (exchange argument; the test suite cross-checks
 against exhaustive subset enumeration).  Weights on configurations are
 carried for bookkeeping but never bias counts or energies here.
+
+Every pairwise quantity (neighbour counts, clipped energies, near returns)
+comes from one kernel, ``_pair_tiles``, which yields the squared-distance
+matrix of a configuration in blocks of whole rows, each at most
+``_TILE_ENTRIES`` entries (4 MiB per float64 temporary).  Each consumer
+reduces row by row, so a row's sum runs over the same contiguous values as
+it would over the full matrix, and the tile layout depends on the number of
+points alone.  Configurations above ``POINT_CEILING`` points (10^9 pairs,
+the ceiling the lattice side puts on visited points) raise
+CapacityExceeded before any tile is built.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyConfig
+from .enumeration import DEFAULT_CEILING
+from .errors import CapacityExceeded, EmptyConfig
 from .util import parallel_map, uniform_ball
 
 #: a_t-weight of each coordinate.
@@ -54,6 +65,12 @@ WEIGHTS = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 SURVEY_CSV_HEADER = ("r", "exceptional_fraction", "max_count", "energy_median", "energy_p95")
 
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+
+#: Most points in one configuration: at most DEFAULT_CEILING pairs per matrix.
+POINT_CEILING = math.isqrt(DEFAULT_CEILING)
+
+#: Entries per tile of the pairwise kernel (4 MiB per float64 temporary).
+_TILE_ENTRIES = 1 << 19
 
 
 def shift_exponential(r: float) -> np.ndarray:
@@ -105,8 +122,10 @@ def expansion_check(w, r: float, ell: float) -> tuple[float, float, bool]:
     by e^(2 ell) and e^ell, both >= e^ell for ell >= 0); the boolean allows
     1e-9 slack for floating point.
     """
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    if not 0 <= ell < math.inf:
+        raise ValueError(f"ell must be finite and >= 0, got {ell}")
     y = adjoint_u(r, np.asarray(w, dtype=float))
     lhs = float(np.linalg.norm(adjoint_a(ell, y)))
     rhs = float(math.exp(ell) * np.linalg.norm(y[:2]))
@@ -116,8 +135,10 @@ def expansion_check(w, r: float, ell: float) -> tuple[float, float, bool]:
 def expansion_check_rows(W: np.ndarray, r: np.ndarray, ell: np.ndarray):
     """Vectorized expansion_check over rows; returns (lhs, rhs, ok) arrays."""
     ell = np.asarray(ell, dtype=float)
-    if np.any(ell < 0):
-        raise ValueError("ell must be >= 0")
+    if not np.all((ell >= 0) & (ell < math.inf)):
+        raise ValueError("ell must be finite and >= 0")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("r must be finite")
     y = adjoint_u_rows(W, r)
     scaled = y * np.exp(WEIGHTS[None, :] * ell[:, None])
     lhs = np.linalg.norm(scaled, axis=1)
@@ -140,13 +161,15 @@ class FiniteConfig:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError(f"points must be an (n, 5) array, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         self.points = pts
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (len(pts),):
                 raise ValueError("weights length must match the number of points")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
+            if not np.all((w >= 0) & (w < math.inf)):
+                raise ValueError("weights must be finite and nonnegative")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
             self.weights = w
@@ -156,6 +179,7 @@ class FiniteConfig:
 
     @classmethod
     def random_ball(cls, n: int, radius: float = 1.0, seed: int = 0) -> "FiniteConfig":
+        _check_point_ceiling(n)
         rng = np.random.default_rng(seed)
         return cls(points=uniform_ball(rng, n, 5) * radius)
 
@@ -175,6 +199,22 @@ class FiniteConfig:
             "points": [[float(x) for x in row] for row in self.points],
             "weights": [float(x) for x in self.weights],
         }
+
+
+def _check_point_ceiling(n: int) -> None:
+    if n > POINT_CEILING:
+        raise CapacityExceeded(f"{n} points exceed the ceiling of {POINT_CEILING} per configuration")
+
+
+def _pair_tiles(x: np.ndarray):
+    """Yield (first_row, d2), d2[k, j] = |x[first_row + k] - x[j]|^2 clipped at 0, in row order."""
+    n = len(x)
+    _check_point_ceiling(n)
+    sq = np.sum(x**2, axis=1)
+    step = max(1, _TILE_ENTRIES // n)
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        yield i, np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
 
 
 def _require_unit_ball(config: FiniteConfig) -> np.ndarray:
@@ -200,28 +240,26 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
         raise ValueError(f"b1 must be in (0, 1], got {b1}")
     pts = _require_unit_ball(config)
     n = len(pts)
-    sq = np.sum(pts**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T), 0.0)
-    best = 0.0
-    b = b1
-    while True:
-        scale = min(b, 1.0)
-        counts = np.count_nonzero(d2 <= scale * scale, axis=1)
-        best = max(best, float(np.max(counts)) / (scale**alpha * n))
-        if scale >= 1.0:
-            break
-        b *= 2.0
-    return best
+    scales = [b1]
+    while scales[-1] < 1.0:
+        scales.append(min(2.0 * scales[-1], 1.0))
+    top = [0] * len(scales)
+    for _, d2 in _pair_tiles(pts):
+        for k, scale in enumerate(scales):
+            top[k] = max(top[k], int(np.count_nonzero(d2 <= scale * scale, axis=1).max()))
+    return max(float(count) / (scale**alpha * n) for count, scale in zip(top, scales))
 
 
 def projection_concentration(config: FiniteConfig, r: float, b: float) -> np.ndarray:
     """For each point, how many of the xi_r-images lie within b of its own."""
     if len(config) == 0:
         raise EmptyConfig("the configuration has no points")
-    img = xi(r, config.points)
-    sq = np.sum(img**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (img @ img.T), 0.0)
-    return np.count_nonzero(d2 <= b * b, axis=1).astype(np.int64)
+    if not (math.isfinite(r) and math.isfinite(b)):
+        raise ValueError(f"r and b must be finite, got r={r}, b={b}")
+    counts = np.empty(len(config), dtype=np.int64)
+    for i, d2 in _pair_tiles(xi(r, config.points)):
+        counts[i : i + len(d2)] = np.count_nonzero(d2 <= b * b, axis=1)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -239,12 +277,12 @@ class ProjectionParams:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if not 0 < self.b1 <= 1:
             raise ValueError(f"b1 must be in (0, 1], got {self.b1}")
-        if self.b < self.b1:
-            raise ValueError(f"need b >= b1, got b={self.b} < b1={self.b1}")
+        if not self.b1 <= self.b < math.inf:
+            raise ValueError(f"need finite b >= b1, got b={self.b}, b1={self.b1}")
         if not 0 < self.eps < 1e-4 * self.alpha:
             raise ValueError(f"eps must be in (0, {1e-4 * self.alpha:g}), got {self.eps}")
-        if self.egbd < 1:
-            raise ValueError(f"egbd must be >= 1, got {self.egbd}")
+        if not 1 <= self.egbd < math.inf:
+            raise ValueError(f"egbd must be finite and >= 1, got {self.egbd}")
 
     @classmethod
     def measured(
@@ -318,7 +356,7 @@ def projection_survey(
     """
     pts = _require_unit_ball(config)
     rs = [float(r) for r in r_grid]
-    if any(r < 0 or r > 1 for r in rs):
+    if not all(0 <= r <= 1 for r in rs):
         raise ValueError("r_grid must lie in [0, 1]")
     n = len(pts)
     b, alpha = params.b, params.alpha
@@ -328,13 +366,14 @@ def projection_survey(
     self_term = 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
 
     def one_r(r: float) -> SurveyRow:
-        img = xi(r, pts)
-        sq = np.sum(img**2, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (img @ img.T), 0.0)
-        counts = np.count_nonzero(d2 <= b2, axis=1)
-        clipped = np.maximum(d2, b2)
-        energy = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
-        row_energy = energy.sum(axis=1) - self_term
+        counts = np.empty(n, dtype=np.int64)
+        row_energy = np.empty(n)
+        for i, d2 in _pair_tiles(xi(r, pts)):
+            rows = slice(i, i + len(d2))
+            counts[rows] = np.count_nonzero(d2 <= b2, axis=1)
+            clipped = np.maximum(d2, b2)
+            energy = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+            row_energy[rows] = energy.sum(axis=1) - self_term
         return SurveyRow(
             r=r,
             exceptional_fraction=float(np.count_nonzero(counts > bound) / n),
@@ -368,12 +407,12 @@ class MargulisParams:
     def __post_init__(self):
         if not 0 < self.b <= 0.1:
             raise ValueError(f"b must be in (0, 1/10], got {self.b}")
-        if self.truncation < 0 or int(self.truncation) != self.truncation:
+        if not (self.truncation >= 0 and float(self.truncation).is_integer()):
             raise ValueError(f"truncation must be a nonnegative integer, got {self.truncation}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.inj <= 0:
-            raise ValueError(f"inj must be positive, got {self.inj}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0 < self.inj < math.inf:
+            raise ValueError(f"inj must be finite and positive, got {self.inj}")
 
 
 def margulis_value(neighbors, params: MargulisParams) -> float:
@@ -436,16 +475,13 @@ class ImprovementStats:
 def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-point truncated energy over a configuration; inj = 1 throughout."""
     n = len(pts)
-    sq = np.sum(pts**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T), 0.0)
-    d = np.sqrt(d2)
     values = np.empty(n)
     at_floor = np.empty(n, dtype=bool)
-    for i in range(n):
-        row = d[i]
-        nb = np.sort(row[(row < b) & (np.arange(n) != i)])
-        at_floor[i] = len(nb) <= m
-        values[i] = _truncated_energy(nb, b, m, alpha, 1.0)
+    for first, d2 in _pair_tiles(pts):
+        for i, row in enumerate(np.sqrt(d2), start=first):
+            nb = np.sort(row[(row < b) & (np.arange(n) != i)])
+            at_floor[i] = len(nb) <= m
+            values[i] = _truncated_energy(nb, b, m, alpha, 1.0)
     return values, at_floor
 
 
@@ -466,6 +502,8 @@ def improvement_step_sim(
     """
     if not 0 < alpha < 2:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if not math.isfinite(ell):
+        raise ValueError(f"ell must be finite, got {ell}")
     if r_samples < 1:
         raise ValueError(f"r_samples must be >= 1, got {r_samples}")
     MargulisParams(b=b, truncation=truncation, alpha=alpha)  # range validation

@@ -154,6 +154,10 @@ def test_heuristic_path_flagged_and_bounded():
 def test_best_rational_approx_validation():
     with pytest.raises(ValueError):
         best_rational_approx(SQF2, 0.5)
+    with pytest.raises(ValueError, match="R must be"):
+        best_rational_approx(SQF2, math.nan)
+    with pytest.raises(ValueError, match="R must be"):
+        best_rational_approx(SQF2, math.inf)
 
 
 def test_approx_result_json():

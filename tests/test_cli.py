@@ -88,6 +88,12 @@ def test_golden_json_outputs_parse():
         ["witness", "--form", "[1,-1,-1]", "--T", "10", "--eps", "nan"],
         ["count", "--form", "[1,-1,-1]", "--a", "-1", "--b", "1", "--T", "nan"],
         ["dichotomy", "--form", "[1,-1,-1]", "--R", "2", "--T", "nan"],
+        ["projection", "--random-theta", "31623"],  # over the point ceiling
+        [
+            "projection", "--theta", "[[NaN,0,0,0,0],[0.1,0,0,0,0],[0,0.2,0,0,0]]",
+            "--r-count", "3",
+        ],
+        ["margulis", "--theta", "[[NaN,0,0,0,0],[0.01,0,0,0,0]]"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):

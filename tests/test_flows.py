@@ -261,6 +261,12 @@ def test_siegel_average_validation():
         siegel_average(1.5, x, 10.0, 9)
     with pytest.raises(ValueError):
         siegel_average(0.0, x, 10.0, 100)
+    with pytest.raises(ValueError, match="T must be"):
+        siegel_average(1.5, x, math.nan, 100)
+    with pytest.raises(ValueError, match="f_radius must be"):
+        siegel_average(math.nan, x, 10.0, 100)
+    with pytest.raises(ValueError, match="T must be"):
+        discrepancy_scan(SQF2, [math.nan], 20, 0.5)
 
 
 def test_siegel_average_deterministic():

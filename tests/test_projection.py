@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from opplab.errors import EmptyConfig
+from opplab import projection
+from opplab.errors import CapacityExceeded, EmptyConfig
 from opplab.projection import (
     SURVEY_CSV_HEADER,
     WEIGHTS,
@@ -156,7 +157,13 @@ def test_expansion_check_validation():
     with pytest.raises(ValueError):
         expansion_check(np.ones(5), 0.5, -0.1)
     with pytest.raises(ValueError):
+        expansion_check(np.ones(5), 0.5, math.nan)
+    with pytest.raises(ValueError):
+        expansion_check(np.ones(5), math.nan, 0.1)
+    with pytest.raises(ValueError):
         expansion_check_rows(np.ones((2, 5)), np.zeros(2), np.array([0.0, -1.0]))
+    with pytest.raises(ValueError):
+        expansion_check_rows(np.ones((2, 5)), np.zeros(2), np.array([0.0, math.nan]))
 
 
 def test_expansion_check_rows_match_scalar():
@@ -191,6 +198,12 @@ def test_finite_config_validation():
         FiniteConfig(points=np.zeros((2, 5)), weights=np.array([-0.2, 1.2]))
     with pytest.raises(ValueError):
         FiniteConfig(points=np.zeros((2, 5)), weights=np.array([0.6, 0.6]))
+    with pytest.raises(ValueError):
+        FiniteConfig(points=np.array([[math.nan, 0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        FiniteConfig(points=np.array([[math.inf, 0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        FiniteConfig(points=np.zeros((2, 5)), weights=np.array([math.nan, 1.0]))
 
 
 def test_finite_config_random_ball():
@@ -220,6 +233,15 @@ def test_empty_and_oversized_configs_rejected():
     big = FiniteConfig(points=2.0 * np.eye(5)[:1])
     with pytest.raises(ValueError):
         nonconcentration_constant(big, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        projection_concentration(FiniteConfig.random_ball(5, seed=0), math.nan, 0.1)
+    # one point over the ceiling fails before any point is drawn or any
+    # pairwise tile is built
+    with pytest.raises(CapacityExceeded):
+        FiniteConfig.random_ball(31_623)
+    crowd = FiniteConfig(points=np.zeros((31_623, 5)))
+    with pytest.raises(CapacityExceeded):
+        projection_concentration(crowd, 0.5, 0.1)
 
 
 def test_nonconcentration_singleton():
@@ -302,6 +324,10 @@ def test_projection_params_validation():
         ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-3, egbd=1.0)
     with pytest.raises(ValueError):
         ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-5, egbd=0.5)
+    with pytest.raises(ValueError):
+        ProjectionParams(alpha=2.0, b1=0.02, b=math.nan, eps=1e-5, egbd=1.0)
+    with pytest.raises(ValueError):
+        ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-5, egbd=math.nan)
 
 
 def test_projection_params_measured():
@@ -317,6 +343,8 @@ def test_projection_survey_grid_validation():
     params = ProjectionParams.measured(cfg, alpha=2.0, b1=0.05, b=0.05)
     with pytest.raises(ValueError):
         projection_survey(cfg, params, [0.0, 1.2])
+    with pytest.raises(ValueError):
+        projection_survey(cfg, params, [math.nan])
 
 
 def test_projection_survey_bound_and_threshold_bookkeeping():
@@ -383,6 +411,9 @@ def test_margulis_params_validation():
         dict(b=0.1, truncation=1.5, alpha=1.0),
         dict(b=0.1, truncation=0, alpha=0.0),
         dict(b=0.1, truncation=0, alpha=1.0, inj=0.0),
+        dict(b=0.05, truncation=1, alpha=math.nan),
+        dict(b=math.nan, truncation=1, alpha=1.0),
+        dict(b=0.05, truncation=math.nan, alpha=1.0),
     ):
         with pytest.raises(ValueError):
             MargulisParams(**bad)
@@ -472,6 +503,8 @@ def test_improvement_step_validation():
         improvement_step_sim(cfg, 1.5, 1.0, 0.1, 0, 2)
     with pytest.raises(ValueError):
         improvement_step_sim(cfg, 1.5, 1.0, 0.2, 4, 2)
+    with pytest.raises(ValueError):
+        improvement_step_sim(cfg, 1.5, math.nan, 0.1, 4, 2)
 
 
 def test_improvement_step_dense_cluster_improves():
@@ -484,3 +517,33 @@ def test_improvement_step_dense_cluster_improves():
     obj = stats.to_json_obj()
     assert "ratios" not in obj
     assert obj["ratio_median"] == stats.ratio_median
+
+
+def test_pair_tiles_row_blocks_match_one_tile(monkeypatch):
+    # 61 points at 8 rows per tile: seven full tiles and a short last one
+    cfg = FiniteConfig.random_ball(61, radius=0.5, seed=12)
+    dense = adjoint_a(0.8, adjoint_u(0.4, 0.1 * cfg.points))
+    params = ProjectionParams.measured(cfg, alpha=1.5, b1=0.05, b=0.1)
+    grid = [0.0, 0.3, 0.7, 1.0]
+
+    def run():
+        return (
+            projection_concentration(cfg, 0.3, 0.2),
+            nonconcentration_constant(cfg, 1.5, 0.05),
+            projection_survey(cfg, params, grid).rows,
+            projection._margulis_profile(dense, 0.1, 1, 1.2),
+        )
+
+    one = run()
+    monkeypatch.setattr(projection, "_TILE_ENTRIES", 61 * 8)
+    assert [len(d2) for _, d2 in projection._pair_tiles(cfg.points)] == [8] * 7 + [5]
+    tiled = run()
+    assert np.array_equal(tiled[0], one[0])
+    assert tiled[1] == one[1]
+    for got, want in zip(tiled[2], one[2]):
+        assert (got.max_count, got.exceptional_fraction) == (want.max_count, want.exceptional_fraction)
+        assert got.energy_median == pytest.approx(want.energy_median, rel=1e-12)
+        assert got.energy_p95 == pytest.approx(want.energy_p95, rel=1e-12)
+    assert np.array_equal(tiled[3][1], one[3][1])
+    assert not np.all(one[3][1])  # some rows have more than M returns
+    assert tiled[3][0] == pytest.approx(one[3][0], rel=1e-12)
