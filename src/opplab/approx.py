@@ -6,13 +6,15 @@ For an integral form Q' (integer Gram entries, det != 0) put
 
 so that lam*Q' always has determinant +1, matching the normalize()
 convention.  best_rational_approx minimizes dist = sup-norm of the entry
-difference Q - lam(Q')*Q' over integral Q' with entries bounded by R.  Up
-to R = 12 the search is exhaustive over the canonical half of the entry
-box (dist is invariant under Q' -> -Q', so only representatives with
-positive leading nonzero entry are visited) and the result is certified
-optimal; beyond that a heuristic candidate generator (integer-multiple
-rounding plus a weighted 7-dimensional lattice reduction) provides an
-upper bound flagged non-certified.
+difference Q - lam(Q')*Q' over integral Q' with entries bounded by R.  A
+heuristic candidate generator (integer-multiple rounding plus a weighted
+7-dimensional lattice reduction) gives an upper bound.  Up to R = 12 a
+branch-and-bound certifies the optimum over the canonical half of the
+entry box (dist is invariant under Q' -> -Q', so only representatives
+with positive leading nonzero entry count): the best heuristic distance
+confines lam, and with it every entry, to a few integers, and only those
+candidates are scored.  Beyond R = 12 the heuristic bound is reported,
+flagged non-certified.
 
 "Integral form" means integer Gram entries, not merely integer values:
 the classical integer-valued forms with half-integer cross entries are
@@ -29,15 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .enumeration import DEFAULT_CEILING, WitnessTable, witness_table
-from .errors import NoCandidate
+from .errors import CapacityExceeded, NoCandidate
 from .forms import NormalizedForm, TernaryForm, normalize
 from .lattice import lll_reduce
-from .util import parallel_map
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -112,35 +113,26 @@ def _as_entries(q) -> tuple[float, ...]:
     return form.entries
 
 
-# columns of the 4-entry tail (m33, m12, m13, m23) enumerated lexicographically
-def _tail_combos(r: int) -> np.ndarray:
-    rng = np.arange(-r, r + 1, dtype=np.int64)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+# rows of one scored tile: bounds the length of every scoring temporary
+_TILE_ROWS = 1 << 16
 
 
-def _tail_canonical_mask(tail: np.ndarray) -> np.ndarray:
-    """First nonzero of the tail positive (used only when m11 = m22 = 0)."""
-    nz = tail != 0
-    has = nz.any(axis=1)
-    first = tail[np.arange(len(tail)), np.argmax(nz, axis=1)]
-    return has & (first > 0)
+def _canonical_mask(m: np.ndarray) -> np.ndarray:
+    """Rows of m whose first nonzero entry is positive: one of each pair +-Q'."""
+    nz = m != 0
+    first = m[np.arange(len(m)), np.argmax(nz, axis=1)]
+    return nz.any(axis=1) & (first > 0)
 
 
-def _chunk_min(args) -> Optional[tuple[float, tuple[int, ...]]]:
-    q6, m11, m22, tail, tail_mask = args
-    m33 = tail[:, 0]
-    m12 = tail[:, 1]
-    m13 = tail[:, 2]
-    m23 = tail[:, 3]
+def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int, ...]]]:
+    """Least (dist, entries) over the canonical nondegenerate rows of m (n x 6 int64)."""
+    m11, m22, m33, m12, m13, m23 = m.T
     det = (
         m11 * (m22 * m33 - m23 * m23)
         - m12 * (m12 * m33 - m23 * m13)
         + m13 * (m12 * m23 - m22 * m13)
     )
-    valid = det != 0
-    if tail_mask is not None:
-        valid &= tail_mask
+    valid = (det != 0) & _canonical_mask(m)
     if not np.any(valid):
         return None
     detf = det.astype(float)
@@ -156,28 +148,107 @@ def _chunk_min(args) -> Optional[tuple[float, tuple[int, ...]]]:
     j = int(np.argmin(dist))
     if not np.isfinite(dist[j]):
         return None
-    cand = (int(m11), int(m22), int(m33[j]), int(m12[j]), int(m13[j]), int(m23[j]))
-    return float(dist[j]), cand
+    return float(dist[j]), tuple(int(x) for x in m[j])
+
+
+def _incumbent(q6: np.ndarray, r: int) -> float:
+    """dist of the best rounded multiple t*q in the box: an upper bound on the optimum.
+
+    The multipliers t = k/|q_i| put entry i exactly on +-k; k stops at r,
+    or earlier so that the rows fit one tile.  The fallback (1,-1,-1)
+    keeps the pool nondegenerate.
+    """
+    ks = np.arange(1, min(r, _TILE_ROWS // 12) + 1)
+    # a tiny entry gives infinite multipliers; the box test drops their rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = np.concatenate([ks / abs(x) for x in q6 if x != 0])
+        m = np.rint(np.outer(ts, q6))
+    m = m[np.max(np.abs(m), axis=1) <= r].astype(np.int64)
+    return _best_row(q6, np.concatenate([m, -m, [[1, -1, -1, 0, 0, 0]]]))[0]
+
+
+_Pieces = list[tuple[float, float]]
+
+
+def _lam_pieces(q: float, m: int, d: float, pieces: _Pieces) -> _Pieces:
+    """The parts of the lam intervals ``pieces`` where |q - lam*m| <= d."""
+    if m == 0:
+        return pieces if abs(q) <= d else []
+    lo, hi = sorted(((q - d) / m, (q + d) / m))
+    return [(max(a, lo), min(b, hi)) for a, b in pieces if max(a, lo) <= min(b, hi)]
+
+
+def _entry_range(q: float, d: float, pieces: _Pieces, lo: int, hi: int) -> tuple[int, int]:
+    """Integers m in [lo, hi] with |q - lam*m| <= d for some lam in ``pieces``, padded by one.
+
+    Each piece lies on one side of 0, where (q -+ d)/lam is monotone in
+    lam, so the values at the ends of the pieces bound every solution.
+    """
+    ends = [(q + s * d) / lam for s in (-1.0, 1.0) for piece in pieces for lam in piece]
+    return max(lo, math.ceil(min(ends)) - 1), min(hi, math.floor(max(ends)) + 1)
+
+
+def _search_boxes(q6: np.ndarray, r: int, d: float) -> Iterator[list[tuple[int, int]]]:
+    """Boxes of the canonical half of [-r, r]^6 that hold every form within d.
+
+    Yields the inclusive (lo, hi) range of each of the six entries, with
+    m11 and m22 fixed: at most one box per (m11, m22).  A form within d of
+    q has |q_i - lam*m_i| <= d for every entry, and 1 <= |det| <= 6 r^3
+    gives 0.5/r < (6 r^3)^(-1/3) <= |lam| <= 1; m11 and m22 narrow lam to
+    at most one interval per sign, and these bound the other entries.
+    """
+    lam_min = 0.5 / r
+    for m11 in range(0, r + 1):
+        p1 = _lam_pieces(q6[0], m11, d, [(-1.0, -lam_min), (lam_min, 1.0)])
+        if not p1:
+            continue
+        lo22, hi22 = _entry_range(q6[1], d, p1, -r if m11 > 0 else 0, r)
+        for m22 in range(lo22, hi22 + 1):
+            p2 = _lam_pieces(q6[1], m22, d, p1)
+            if not p2:
+                continue
+            tail = [_entry_range(q, d, p2, -r, r) for q in q6[2:]]
+            if all(lo <= hi for lo, hi in tail):
+                yield [(m11, m11), (m22, m22), *tail]
+
+
+def _box_tiles(ranges: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """The integer points of a box in lexicographic order, at most _TILE_ROWS at a time."""
+    shape = tuple(hi - lo + 1 for lo, hi in ranges)
+    lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
+    total = math.prod(shape)
+    for start in range(0, total, _TILE_ROWS):
+        idx = np.arange(start, min(start + _TILE_ROWS, total), dtype=np.int64)
+        yield np.stack(np.unravel_index(idx, shape), axis=1) + lows
 
 
 def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
-    """Certified minimizer over the canonical half of the entry box [-r, r]^6."""
-    tail = _tail_combos(r)
-    tail_mask = _tail_canonical_mask(tail)
-    jobs = []
-    for m11 in range(0, r + 1):
-        for m22 in range(-r if m11 > 0 else 0, r + 1):
-            mask = tail_mask if (m11 == 0 and m22 == 0) else None
-            jobs.append((q6, m11, m22, tail, mask))
-    results = parallel_map(_chunk_min, jobs)
+    """Certified minimizer over the canonical half of the entry box [-r, r]^6.
+
+    Branch and bound: the incumbent bounds the optimum, and only the boxes
+    of _search_boxes within that bound are scored.  The scores use the
+    same arithmetic as a scan of the whole half-box, and the minimum is
+    taken in (dist, entries) order, so the result is the same
+    lexicographically least minimizer, bit for bit.
+    """
+    incumbent = _incumbent(q6, r)
+    # rounding in the scores and in the bounds of _search_boxes is a few
+    # ulps of the largest |q_i|; the pad is far above that, so no form that
+    # scores at most the incumbent is pruned
+    d = incumbent + 1e-9 * (incumbent + float(np.max(np.abs(q6))))
+    total = 0
+    for ranges in _search_boxes(q6, r, d):
+        total += math.prod(hi - lo + 1 for lo, hi in ranges)
+        if total > DEFAULT_CEILING:
+            raise CapacityExceeded(
+                f"certified search at R={r} would score over {DEFAULT_CEILING} candidates"
+            )
     best: Optional[tuple[float, tuple[int, ...]]] = None
-    # chunk scan order is lexicographic, so strict improvement keeps the
-    # lexicographically least minimizer
-    for res in results:
-        if res is None:
-            continue
-        if best is None or res[0] < best[0] or (res[0] == best[0] and res[1] < best[1]):
-            best = res
+    for ranges in _search_boxes(q6, r, d):
+        for m in _box_tiles(ranges):
+            res = _best_row(q6, m)
+            if res is not None and (best is None or res < best):
+                best = res
     if best is None:
         raise NoCandidate(f"no nondegenerate integral form with entries in [-{r}, {r}]")
     return IntegralForm(*best[1])
@@ -220,9 +291,9 @@ def best_rational_approx(
 ) -> ApproxResult:
     """Best integral approximation with entries bounded by R.
 
-    Exhaustive (certified) for floor(R) <= exhaustive_limit, heuristic
-    upper bound otherwise.  Ties resolve to the lexicographically least
-    canonical representative, so results are deterministic.
+    Certified by branch-and-bound for floor(R) <= exhaustive_limit,
+    heuristic upper bound otherwise.  Ties resolve to the lexicographically
+    least canonical representative, so results are deterministic.
     """
     if not 1 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 1, got {R}")
@@ -387,6 +458,21 @@ class GapResult:
         }
 
 
+def _power_law_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(c, E) of the least-squares line log y = log c - E log x.
+
+    Closed form over math.fsum sums in base-2 logarithms, so the bytes do
+    not depend on a LAPACK kernel, and powers of two fit exactly.
+    """
+    lx = [math.log2(x) for x in xs]
+    ly = [math.log2(y) for y in ys]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    sxx = math.fsum((a - mx) ** 2 for a in lx)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    slope = sxy / sxx
+    return 2.0 ** (my - slope * mx), -slope
+
+
 def algebraicity_gap(q, R_list: Sequence[float], *, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> GapResult:
     """Approximation distance as a function of the entry bound R.
 
@@ -413,7 +499,5 @@ def algebraicity_gap(q, R_list: Sequence[float], *, exhaustive_limit: int = EXHA
     fit_c = fit_e = None
     dists = [row.dist for row in rows]
     if len(rows) >= 2 and all(d > 0 for d in dists):
-        slope, intercept = np.polyfit(np.log(rs), np.log(dists), 1)
-        fit_c = float(math.exp(intercept))
-        fit_e = float(-slope)
+        fit_c, fit_e = _power_law_fit(rs, dists)
     return GapResult(rows=rows, fit_coefficient=fit_c, fit_exponent=fit_e)

@@ -358,6 +358,10 @@ def projection_survey(
     rs = [float(r) for r in r_grid]
     if not all(0 <= r <= 1 for r in rs):
         raise ValueError("r_grid must lie in [0, 1]")
+    named = {"survey_const": survey_const, "survey_exp": survey_exp, "row_threshold": row_threshold}
+    for name, value in named.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     n = len(pts)
     b, alpha = params.b, params.alpha
     bound = survey_const * params.egbd * b ** (alpha - survey_exp * params.eps) * n

@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from opplab import approx
 from opplab.approx import (
     ApproxResult,
     IntegralForm,
+    _best_row,
+    _entry_distance,
+    _power_law_fit,
     algebraicity_gap,
     best_rational_approx,
     dichotomy_report,
     signed_inverse_cuberoot,
 )
+from opplab.cli import main
+from opplab.errors import CapacityExceeded
 from opplab.forms import TernaryForm, normalize
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
@@ -54,6 +60,26 @@ def oracle_min_dist(q6, r):
             if m < best:
                 best = m
     return best
+
+
+def full_box_minimizer(q6, r):
+    # the canonical full-box scan the certified search replaced: every
+    # (m11, m22) chunk of the canonical half scores all (2r+1)^4 tails with
+    # _best_row, and the chunk minima are reduced in (dist, entries) order
+    q6 = np.asarray(q6, dtype=float)
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    g = np.meshgrid(ax, ax, ax, ax, indexing="ij")
+    tail = np.stack([x.ravel() for x in g], axis=1)
+    best = None
+    for m11 in range(0, r + 1):
+        for m22 in range(-r if m11 > 0 else 0, r + 1):
+            head = np.broadcast_to(np.array([m11, m22], dtype=np.int64), (len(tail), 2))
+            res = _best_row(q6, np.hstack([head, tail]))
+            if res is None:
+                continue
+            if best is None or res[0] < best[0] or (res[0] == best[0] and res[1] < best[1]):
+                best = res
+    return IntegralForm(*best[1])
 
 
 def rand_normalized(rng):
@@ -121,9 +147,48 @@ def test_exhaustive_equals_full_box_oracle():
         assert res.dist == oracle_min_dist(q.form.entries, 3)
 
 
+def test_certified_search_returns_full_box_minimizer():
+    rng = np.random.default_rng(44)
+    cases = [(SQF2, r) for r in range(1, 9)]
+    cases += [(rand_normalized(rng), 3 + k % 4) for k in range(20)]
+    # (1,-1,-1) and (2,-2,-2) tie at dist 0; the least canonical one wins
+    cases.append((RATIONAL, 2))
+    near = normalize(TernaryForm(1.0, -1.0, -(1.0 + 1e-6)))
+    near_offdiag = normalize(TernaryForm(2.0, -1.0, 3.0 + 1e-6, 1.0, -1e-6, -1.0))
+    cases += [(near, 3), (near_offdiag, 3)]
+    for q, r in cases:
+        res = best_rational_approx(q, float(r))
+        assert res.qprime == full_box_minimizer(q.form.entries, r), (q.form.entries, r)
+    assert _entry_distance(RATIONAL.form.entries, IntegralForm(2, -2, -2)) == 0.0
+    assert best_rational_approx(RATIONAL, 2.0).qprime.entries == (1, -1, -1, 0, 0, 0)
+    assert best_rational_approx(near_offdiag, 3.0).qprime.entries == (2, -1, 3, 1, 0, -1)
+
+
+def test_certified_search_tiles_match_one_tile(monkeypatch):
+    rng = np.random.default_rng(45)
+    forms = [rand_normalized(rng) for _ in range(3)] + [SQF2]
+    whole = [best_rational_approx(q, 4.0).qprime for q in forms]
+    # 48 rows keep every multiple of the incumbent (k <= 4) and split most
+    # boxes of these forms (up to 108 points) into two or three tiles
+    monkeypatch.setattr(approx, "_TILE_ROWS", 48)
+    assert [best_rational_approx(q, 4.0).qprime for q in forms] == whole
+
+
+def test_certified_search_stops_at_the_ceiling(monkeypatch, capsys):
+    monkeypatch.setattr(approx, "DEFAULT_CEILING", 10)
+
+    def no_tiles(ranges):
+        raise AssertionError("a tile was built past the ceiling")
+
+    monkeypatch.setattr(approx, "_box_tiles", no_tiles)
+    with pytest.raises(CapacityExceeded, match="candidates"):
+        best_rational_approx(SQF2, 12.0)
+    assert main(["rational", "--form", "[1,-1,-1.4142135623730951]", "--R", "12"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_dist_invariant_under_qprime_negation():
     rng = np.random.default_rng(42)
-    from opplab.approx import _entry_distance
 
     for _ in range(50):
         q6 = rng.normal(size=6)
@@ -261,6 +326,21 @@ def test_algebraicity_gap_carry_forward_with_heuristic_tail():
     dists = [row.dist for row in res.rows]
     assert all(b <= a for a, b in zip(dists, dists[1:]))
     assert res.rows[0].certified and res.rows[1].certified
+
+
+def test_power_law_fit_closed_form():
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        xs = np.sort(rng.uniform(1.0, 50.0, size=rng.integers(2, 8)))
+        ys = rng.uniform(1e-6, 1.0, size=len(xs))
+        slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+        c, e = _power_law_fit(list(xs), list(ys))
+        assert c == pytest.approx(math.exp(intercept), rel=1e-12)
+        assert e == pytest.approx(-slope, rel=1e-12)
+    # dist = c R^-E at powers of two: the base-2 logarithms are exact
+    rs = [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert _power_law_fit(rs, [0.5 * R**-2.0 for R in rs]) == (0.5, 2.0)
+    assert _power_law_fit(rs, [8.0 * R**-0.75 for R in rs]) == (8.0, 0.75)
 
 
 def test_algebraicity_gap_validation():

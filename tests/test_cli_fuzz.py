@@ -1,0 +1,97 @@
+"""Fuzz test of the command line: every subcommand exits 0 or 1, never crashes."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from opplab.cli import main  # noqa: E402
+
+SQF2 = "[1,-1,-1.4142135623730951]"
+NONFINITE = st.sampled_from(["nan", "inf", "-inf"])
+GRAM_KEYS = ("m11", "m22", "m33", "m12", "m13", "m23")
+
+
+def _num(lo, hi):
+    """A float option value: mostly a small finite number, one time in ten non-finite."""
+    finite = st.floats(lo, hi).map(repr)
+    return st.integers(0, 9).flatmap(lambda k: NONFINITE if k == 0 else finite)
+
+
+def _num_list(lo, hi):
+    values = st.lists(_num(lo, hi), min_size=1, max_size=3, unique=True)
+    return values.map(lambda v: ",".join(sorted(v, key=float)))
+
+
+FUZZ_FORMS = st.one_of(
+    st.sampled_from([SQF2, "[1,-1,-1]", "[1,1,1]", "[1,-1,0]", "[NaN,-1,-1]", "[1,-1,Infinity]"]),
+    st.lists(st.floats(-3, 3), min_size=6, max_size=6).map(lambda v: json.dumps(dict(zip(GRAM_KEYS, v)))),
+)
+
+
+def _argv(command, *pairs):
+    # --flag=value, so that values such as -inf or -1e-05 are not read as flags
+    return st.tuples(*(value.map(lambda v, f=flag: f"{f}={v}") for flag, value in pairs)).map(
+        lambda opts: [command, *opts]
+    )
+
+
+FUZZ_ARGV = st.one_of(
+    _argv(
+        "witness", ("--form", FUZZ_FORMS), ("--s-min", _num(-2, 0)), ("--s-max", _num(0, 2)),
+        ("--grid", _num(0.25, 1)), ("--eps", _num(0.01, 0.5)), ("--T", _num(1, 15)),
+    ),
+    _argv(
+        "count", ("--form", FUZZ_FORMS), ("--a", _num(-2, 0)), ("--b", _num(0, 2)),
+        ("--T", _num_list(1, 10)), ("--delta", _num(0.01, 0.1)),
+        ("--samples", st.integers(10_000, 20_000).map(str)),
+    ),
+    _argv(
+        "cq", ("--form", FUZZ_FORMS), ("--delta", _num(0.01, 0.1)),
+        ("--samples", st.integers(10_000, 20_000).map(str)),
+    ),
+    _argv(
+        "rational", ("--form", FUZZ_FORMS), ("--R", _num_list(1, 6)),
+        ("--exhaustive-limit", st.integers(0, 6).map(str)),
+    ),
+    _argv(
+        "dichotomy", ("--form", FUZZ_FORMS), ("--R", _num(1, 3)), ("--T", _num(1, 200)),
+        ("--eps", _num(0.01, 0.5)), ("--coverage-floor", st.just("0")),
+    ),
+    _argv(
+        "equidist", ("--form", FUZZ_FORMS), ("--T", _num_list(1.5, 5)),
+        ("--N", st.integers(10, 16).map(str)), ("--f-radius", _num(0.5, 2)),
+    ),
+    _argv(
+        "projection", ("--random-theta", st.integers(1, 20).map(str)),
+        ("--ball-radius", _num(0.1, 1)), ("--alpha", _num(0.5, 2.5)), ("--b", _num(0.01, 0.5)),
+        ("--C", _num(1, 20)), ("--c", _num(0, 20)), ("--r-count", st.integers(1, 5).map(str)),
+    ),
+    _argv(
+        "margulis", ("--random-theta", st.integers(1, 10).map(str)),
+        ("--ball-radius", _num(0.01, 1)), ("--alpha", _num(0.5, 2)), ("--ell", _num(0, 2)),
+        ("--b", _num(0.01, 0.1)), ("--M", st.integers(0, 2).map(str)),
+        ("--r-samples", st.integers(1, 2).map(str)),
+    ),
+)
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(FUZZ_ARGV)
+def test_cli_fuzz_exits_0_or_1(argv):
+    # --coverage-floor 0 keeps dichotomy off its documented exit 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1), argv
+    if rc == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -345,6 +345,10 @@ def test_projection_survey_grid_validation():
         projection_survey(cfg, params, [0.0, 1.2])
     with pytest.raises(ValueError):
         projection_survey(cfg, params, [math.nan])
+    for name in ("survey_const", "survey_exp", "row_threshold"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                projection_survey(cfg, params, [0.5], **{name: bad})
 
 
 def test_projection_survey_bound_and_threshold_bookkeeping():
