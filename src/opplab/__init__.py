@@ -10,8 +10,11 @@ The package has four legs, one per family of experiments:
 - projection: a finite-set simulator for the 5-dimensional representation,
   restricted projections, non-concentration surveys, and truncated energies.
 
-Everything is deterministic for a fixed seed; OPPLAB_THREADS trades wall
-time only.
+Everything is deterministic for a fixed seed.  OPPLAB_THREADS sizes the
+thread pool of the Monte Carlo counting constant (main_term_constant) and
+of the projection sweeps (projection_survey, improvement_step_sim); it
+trades wall time only.  Lattice reduction and the Siegel samples run
+serially.
 """
 
 from .approx import (

@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 usage or input errors, 2 scientific anomaly
 (currently only the dichotomy command: the rational branch was rejected
 and yet witness coverage fell below the configured floor).
 
-The OPPLAB_THREADS environment variable caps worker threads; it changes
-wall time only, never output bytes.
+The OPPLAB_THREADS environment variable caps the worker threads of the
+Monte Carlo in count and cq and of the projection and margulis sweeps;
+it changes wall time only, never output bytes.  Every subcommand rejects
+a value that is not a positive integer with exit 1.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .projection import (
     improvement_step_sim,
     projection_survey,
 )
+from .util import worker_count
 
 RATIONAL_CSV_HEADER = ("R", "dist", "lam", "certified", "m11", "m22", "m33", "m12", "m13", "m23")
 MARGULIS_CSV_HEADER = ("rho", "ratio_median")
@@ -405,6 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        worker_count()  # reject a bad OPPLAB_THREADS before any work, pool or not
         if args.save_config:
             with open(args.save_config, "w", newline="") as fh:
                 fh.write(_config_from_args(args.command, args).canonical_json())

@@ -43,8 +43,7 @@ import numpy as np
 from .enumeration import DEFAULT_CEILING
 from .errors import SignatureMismatch
 from .forms import REFERENCE_FORM, NormalizedForm, TernaryForm, normalize
-from .lattice import enumerate_ball, shortest_vector_coeffs
-from .util import chunk_sizes, parallel_map
+from .lattice import _enumerate_frame, _shortest_in_frame, lll_reduce, shortest_vector_coeffs
 
 _DET_TOL = 1e-10
 
@@ -53,6 +52,12 @@ EQUIDIST_CSV_HEADER = ("T", "N", "empirical", "haar", "deviation", "min_inj")
 # int_0^1 exp(1 - 1/(1-t^2)) t^2 dt by a 200-point Gauss-Legendre rule, frozen
 # (exact value 0.0954136992943015777..., 50-digit mpmath)
 _BUMP_RADIAL_INTEGRAL = 0.09541369929430213
+
+
+def _det3(m: np.ndarray) -> float:
+    """Cofactor determinant of a 3x3 matrix, for the det-1 checks only."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,9 @@ class GroupElement:
         m = np.array(self.mat, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-        if abs(np.linalg.det(m) - 1.0) > _DET_TOL:
-            raise ValueError(f"determinant {np.linalg.det(m)} is not 1")
+        det = _det3(m)
+        if not abs(det - 1.0) <= _DET_TOL:  # also rejects a NaN determinant
+            raise ValueError(f"determinant {det} is not 1")
         object.__setattr__(self, "mat", m)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -99,8 +105,9 @@ class LatticePoint:
         b = np.array(basis, dtype=float)
         if b.shape != (3, 3):
             raise ValueError(f"expected a 3x3 basis, got {b.shape}")
-        if abs(np.linalg.det(b) - 1.0) > _DET_TOL:
-            raise ValueError(f"basis determinant {np.linalg.det(b)} is not 1")
+        det = _det3(b)
+        if not abs(det - 1.0) <= _DET_TOL:
+            raise ValueError(f"basis determinant {det} is not 1")
         self.basis = b
 
     @classmethod
@@ -279,21 +286,15 @@ def siegel_average(
     a_mat = flow_a(math.log(T)).mat
 
     def one_sample(r: float) -> tuple[float, float]:
-        basis = a_mat @ flow_u(r).mat @ x0.basis
-        _, norms = enumerate_ball(basis, f_radius, ceiling=ceiling, return_norms=True)
+        # one reduction per sample; the bump ball and the shortest-vector
+        # ball are both enumerated in its frame
+        Bred, U = lll_reduce(a_mat @ flow_u(r).mat @ x0.basis)
+        _, norms = _enumerate_frame(Bred, U, f_radius, ceiling=ceiling, return_norms=True)
         total = float(np.sum(bump_values(norms, f_radius))) if len(norms) else 0.0
-        _, short_len = shortest_vector_coeffs(basis, ceiling=ceiling)
+        _, short_len = _shortest_in_frame(Bred, U, ceiling=ceiling)
         return total, short_len
 
-    def one_block(idx_range: range) -> list[tuple[float, float]]:
-        return [one_sample(rs[i]) for i in idx_range]
-
-    blocks = []
-    start = 0
-    for size in chunk_sizes(N, max(1, N // 16)):
-        blocks.append(range(start, start + size))
-        start += size
-    results = [pair for block in parallel_map(one_block, blocks) for pair in block]
+    results = [one_sample(r) for r in rs]
     empirical = math.fsum(f for f, _ in results) / N
     min_inj = min(l for _, l in results)
     haar = bump_mass(f_radius)

@@ -6,9 +6,15 @@ Bases are stored column-wise, so a basis matrix B spans the lattice
 ball enumeration is Fincke-Pohst, walking nested coordinate intervals of
 the Cholesky factor from the last coordinate inward.  Dimensions here are
 tiny (3 for lattices in space, 7 for the Diophantine candidate lattice in
-module approx), so the quadratic recomputation of the Gram-Schmidt data
-inside the reduction loop is deliberate: simple and numerically fresh at
-every step.
+module approx), so the reduction works on Python floats and ints, one
+list per column, and recomputes the Gram-Schmidt data from scratch at
+every step: simple and numerically fresh.  Dot products are plain
+sequential sums, which on 3x3 data cost less than a numpy call and, unlike
+a BLAS dot product, do not depend on the BLAS kernel.
+
+One reduced frame (Bred, U) serves any number of enumerations: callers
+that need several balls of the same lattice reduce it once and enumerate
+through ``_enumerate_frame`` and ``_shortest_in_frame``.
 """
 
 from __future__ import annotations
@@ -22,19 +28,33 @@ from .errors import CapacityExceeded
 _MAX_LLL_ITER = 10_000
 
 
-def _gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalization data for columns of B: (mu, squared norms of B*)."""
-    n = B.shape[1]
-    Bs = np.zeros_like(B)
-    mu = np.zeros((n, n))
-    norms2 = np.zeros(n)
+def _dot(a: list[float], b: list[float]) -> float:
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _gram_schmidt(cols: list[list[float]], n: int) -> tuple[list[list[float]], list[float]]:
+    """Orthogonalization data for the first n columns: (mu rows, squared norms of B*).
+
+    Column i of B* depends only on columns 0..i, so the data of a leading
+    block equals that of the whole basis.
+    """
+    stars: list[list[float]] = []
+    mu: list[list[float]] = []
+    norms2: list[float] = []
     for i in range(n):
-        v = B[:, i].astype(float).copy()
+        b = cols[i]
+        v = b
+        row = []
         for j in range(i):
-            mu[i, j] = (B[:, i] @ Bs[:, j]) / norms2[j] if norms2[j] > 0 else 0.0
-            v -= mu[i, j] * Bs[:, j]
-        Bs[:, i] = v
-        norms2[i] = float(v @ v)
+            m = _dot(b, stars[j]) / norms2[j] if norms2[j] > 0 else 0.0
+            row.append(m)
+            v = [x - m * y for x, y in zip(v, stars[j])]
+        stars.append(v)
+        mu.append(row)
+        norms2.append(_dot(v, v))
     return mu, norms2
 
 
@@ -42,9 +62,9 @@ def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
     """LLL-reduce the columns of ``basis``.
 
     Returns (reduced, transform) with reduced = basis @ transform and
-    transform integral unimodular.  The iteration count is capped; hitting
-    the cap leaves a partially reduced basis, which only costs enumeration
-    speed, never correctness.
+    transform integral unimodular (float64 and int64 arrays).  The
+    iteration count is capped; hitting the cap leaves a partially reduced
+    basis, which only costs enumeration speed, never correctness.
     """
     B = np.array(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -52,25 +72,27 @@ def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
     n = B.shape[1]
     if abs(np.linalg.det(B)) == 0.0:
         raise ValueError("basis is singular")
-    U = np.eye(n, dtype=np.int64)
+    cols = B.T.tolist()
+    U = [[int(i == j) for i in range(n)] for j in range(n)]
     k = 1
     for _ in range(_MAX_LLL_ITER):
         if k >= n:
             break
-        mu, norms2 = _gram_schmidt(B)
+        mu, norms2 = _gram_schmidt(cols, k + 1)
         for j in range(k - 1, -1, -1):
-            q = int(np.rint(mu[k, j]))
+            q = round(mu[k][j])
             if q != 0:
-                B[:, k] -= q * B[:, j]
-                U[:, k] -= q * U[:, j]
-                mu, norms2 = _gram_schmidt(B)
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
+                mu, norms2 = _gram_schmidt(cols, k + 1)
+        m = mu[k][k - 1]
+        if norms2[k] >= (delta - m * m) * norms2[k - 1]:
             k += 1
         else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            U[:, [k - 1, k]] = U[:, [k, k - 1]]
+            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
             k = max(k - 1, 1)
-    return B, U
+    return np.array(cols, dtype=float).T.copy(), np.array(U, dtype=np.int64).T.copy()
 
 
 def enumerate_ball(
@@ -94,12 +116,36 @@ def enumerate_ball(
     well conditioned while recombining the original columns cancels
     catastrophically.
     """
-    B = np.array(basis, dtype=float)
-    if B.shape != (3, 3):
-        raise ValueError(f"enumerate_ball needs a 3x3 basis, got {B.shape}")
+    B = _basis3(basis)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     Bred, U = lll_reduce(B)
+    return _enumerate_frame(
+        Bred, U, radius, include_zero=include_zero, ceiling=ceiling, return_norms=return_norms
+    )
+
+
+def _basis3(basis) -> np.ndarray:
+    B = np.array(basis, dtype=float)
+    if B.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 basis, got {B.shape}")
+    return B
+
+
+def _enumerate_frame(
+    Bred: np.ndarray,
+    U: np.ndarray,
+    radius: float,
+    *,
+    include_zero: bool = False,
+    ceiling: int | None = None,
+    return_norms: bool = False,
+):
+    """enumerate_ball on an already reduced frame: Bred = basis @ U from lll_reduce.
+
+    Coefficients are returned with respect to the original basis; each call
+    counts its own visited slots against ``ceiling``.
+    """
     G = Bred.T @ Bred
     # tiny diagonal jitter keeps Cholesky factorizable on nearly degenerate
     # input; the traversal radius is widened to cover the inflated norms
@@ -166,10 +212,16 @@ def shortest_vector_coeffs(basis, *, ceiling: int | None = None) -> tuple[np.nda
     sign is canonicalized (first nonzero coefficient positive) and ties in
     length resolve to the lexicographically least coefficient tuple.
     """
-    B = np.array(basis, dtype=float)
-    Bred, _ = lll_reduce(B)
+    Bred, U = lll_reduce(_basis3(basis))
+    return _shortest_in_frame(Bred, U, ceiling=ceiling)
+
+
+def _shortest_in_frame(
+    Bred: np.ndarray, U: np.ndarray, *, ceiling: int | None = None
+) -> tuple[np.ndarray, float]:
+    """shortest_vector_coeffs on an already reduced frame (see _enumerate_frame)."""
     bound = float(np.min(np.linalg.norm(Bred, axis=0)))
-    cands, lens = enumerate_ball(B, bound, ceiling=ceiling, return_norms=True)
+    cands, lens = _enumerate_frame(Bred, U, bound, ceiling=ceiling, return_norms=True)
     if len(cands) == 0:
         # cannot happen for a nonsingular basis: the first reduced column qualifies
         raise CapacityExceeded("shortest-vector enumeration returned no candidates")

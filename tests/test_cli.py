@@ -222,6 +222,15 @@ def test_invalid_thread_count_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_invalid_thread_count_exits_1_without_a_pool(monkeypatch, capsys):
+    # witness starts no thread pool; the value is still checked up front
+    monkeypatch.setenv("OPPLAB_THREADS", "0")
+    assert main(GOLDEN_CASES["witness.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "OPPLAB_THREADS" in captured.err
+    assert captured.out == ""
+
+
 def test_float_list_parsing():
     assert _float_list("1,2.5,3") == [1.0, 2.5, 3.0]
     assert _float_list("4,") == [4.0]

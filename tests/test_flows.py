@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from opplab import flows, lattice
 from opplab.errors import SignatureMismatch
 from opplab.flows import (
     Basepoint,
@@ -25,6 +26,7 @@ from opplab.flows import (
     v_elem,
 )
 from opplab.forms import REFERENCE_FORM, TernaryForm, normalize
+from opplab.lattice import lll_reduce
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
 
@@ -105,6 +107,21 @@ def test_lattice_point_validation():
         LatticePoint(np.diag([2.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         LatticePoint(np.eye(4))
+
+
+def test_det_check_matches_numpy_det_and_rejects_nan():
+    # non-finite entries give a NaN determinant, which must not pass
+    for bad in (np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="determinant"):
+            GroupElement(bad)
+        with pytest.raises(ValueError, match="determinant"):
+            LatticePoint(bad)
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+        assert flows._det3(m) == pytest.approx(np.linalg.det(m), rel=1e-9, abs=1e-300)
+    g = flow_a(1.3) @ flow_u(-0.7) @ v_elem(0.4, 2.0)
+    assert abs(flows._det3(g.mat) - 1.0) <= flows._DET_TOL
 
 
 def test_lattice_equality_mod_integral_basis_change():
@@ -277,6 +294,22 @@ def test_siegel_average_deterministic():
     assert r1.min_inj == r2.min_inj
     r3 = siegel_average(1.5, x, 30.0, 40, seed=12)
     assert r3.empirical != r1.empirical
+
+
+def test_siegel_average_reduces_each_sample_once(monkeypatch):
+    calls = []
+
+    def counting(basis, *args, **kwargs):
+        calls.append(1)
+        return lll_reduce(basis, *args, **kwargs)
+
+    x = form_to_basepoint(SQF2).x0
+    want = siegel_average(1.5, x, 400.0, 40, seed=3)
+    for module in (flows, lattice):
+        monkeypatch.setattr(module, "lll_reduce", counting)
+    got = siegel_average(1.5, x, 400.0, 40, seed=3)
+    assert len(calls) == 40
+    assert got == want
 
 
 def test_siegel_average_haar_side_is_geometry_free():

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from opplab import approx, lattice
 from opplab.errors import CapacityExceeded
+from opplab.flows import flow_a, flow_u, form_to_basepoint
+from opplab.forms import TernaryForm, normalize
 from opplab.lattice import enumerate_ball, lll_reduce, shortest_vector_coeffs
 
 
@@ -156,3 +159,119 @@ def test_shortest_vector_canonical_sign():
         coeffs, _ = shortest_vector_coeffs(b)
         first = next(c for c in coeffs if c != 0)
         assert first > 0
+
+
+# numpy LLL as it stood before the scalar rewrite, kept as a bit-for-bit
+# reference: same algorithm and decisions, numpy slicing and BLAS dot products
+def _reference_gram_schmidt(B):
+    n = B.shape[1]
+    Bs = np.zeros_like(B)
+    mu = np.zeros((n, n))
+    norms2 = np.zeros(n)
+    for i in range(n):
+        v = B[:, i].astype(float).copy()
+        for j in range(i):
+            mu[i, j] = (B[:, i] @ Bs[:, j]) / norms2[j] if norms2[j] > 0 else 0.0
+            v -= mu[i, j] * Bs[:, j]
+        Bs[:, i] = v
+        norms2[i] = float(v @ v)
+    return mu, norms2
+
+
+def _reference_lll_reduce(basis, delta=0.99):
+    B = np.array(basis, dtype=float)
+    n = B.shape[1]
+    U = np.eye(n, dtype=np.int64)
+    k = 1
+    for _ in range(10_000):
+        if k >= n:
+            break
+        mu, norms2 = _reference_gram_schmidt(B)
+        for j in range(k - 1, -1, -1):
+            q = int(np.rint(mu[k, j]))
+            if q != 0:
+                B[:, k] -= q * B[:, j]
+                U[:, k] -= q * U[:, j]
+                mu, norms2 = _reference_gram_schmidt(B)
+        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            U[:, [k - 1, k]] = U[:, [k, k - 1]]
+            k = max(k - 1, 1)
+    return B, U
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+
+
+def _sqf2():
+    return normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
+
+
+def test_lll_matches_numpy_reference_on_sheared_bases():
+    # the Siegel-sample bases a(log T) u(r) x0 of the equidist experiment
+    x0 = form_to_basepoint(_sqf2()).x0
+    rng = np.random.default_rng(28)
+    rs = (np.arange(70) + rng.random(70)) / 70
+    checked = 0
+    for T in (20.0, 400.0, 8000.0):
+        a_mat = flow_a(math.log(T)).mat
+        for r in rs:
+            basis = a_mat @ flow_u(r).mat @ x0.basis
+            _assert_same_bits(lll_reduce(basis), _reference_lll_reduce(basis))
+            checked += 1
+    assert checked >= 200
+
+
+def _mirror(v):
+    # the symmetry m11 <-> -m22 of SQF2's candidate lattice, up to sign: it
+    # swaps coordinates 1 and 2 of a coefficient vector and of a lattice vector
+    w = -v
+    w[[1, 2]] = v[[2, 1]]
+    return w
+
+
+def test_lll_matches_numpy_reference_on_diophantine_bases(monkeypatch):
+    # the six 7-d lattices of approx's heuristic candidate pool for SQF2, one
+    # per weight w.  For w = 1e4 and 1e8, q11 = -q22 puts an exact tie in the
+    # reduction: a mu of -1.5 or 31.5 in exact arithmetic.  The reference's
+    # BLAS dot product is fused and rounds it to either side by its own
+    # error, so one reduced column comes out as the mirror image of the other.
+    bases = []
+
+    def recording(basis, *args, **kwargs):
+        bases.append(np.array(basis))
+        return lll_reduce(basis, *args, **kwargs)
+
+    monkeypatch.setattr(approx, "lll_reduce", recording)
+    approx._heuristic_candidates(np.asarray(_sqf2().form.entries, dtype=float), 16)
+    weights = [float(-b[1, 1]) for b in bases]
+    assert weights == [1e2, 1e4, 1e6, 1e8, 1e10, 1e12]
+    for w, basis in zip(weights, bases):
+        got, want = lll_reduce(basis), _reference_lll_reduce(basis)
+        if w in (1e4, 1e8):
+            for g, r in zip(got, want):
+                np.testing.assert_array_equal(g[:, 3], _mirror(r[:, 3]))
+                g[:, 3] = r[:, 3]
+        _assert_same_bits(got, want)
+
+
+def test_shortest_vector_reduces_once(monkeypatch):
+    calls = []
+
+    def counting(basis, *args, **kwargs):
+        calls.append(1)
+        return lll_reduce(basis, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "lll_reduce", counting)
+    b = np.diag([40.0, 1.0, 1.0 / 40.0]) @ np.array(
+        [[1.0, 0.37, 0.37**2 / 2.0], [0.0, 1.0, 0.37], [0.0, 0.0, 1.0]]
+    )
+    coeffs, length = shortest_vector_coeffs(b)
+    assert len(calls) == 1
+    assert length == pytest.approx(np.linalg.norm(b @ coeffs), rel=1e-9)
