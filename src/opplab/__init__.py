@@ -12,9 +12,9 @@ The package has four legs, one per family of experiments:
 
 Everything is deterministic for a fixed seed.  OPPLAB_THREADS sizes the
 thread pool of the Monte Carlo counting constant (main_term_constant) and
-of the projection sweeps (projection_survey, improvement_step_sim); it
-trades wall time only.  Lattice reduction and the Siegel samples run
-serially.
+of the projection survey (projection_survey); it trades wall time only.
+Lattice reduction, the Siegel samples and the truncated-energy transports
+(improvement_step_sim) run serially.
 """
 
 from .approx import (

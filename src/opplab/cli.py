@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 usage or input errors, 2 scientific anomaly
 and yet witness coverage fell below the configured floor).
 
 The OPPLAB_THREADS environment variable caps the worker threads of the
-Monte Carlo in count and cq and of the projection and margulis sweeps;
-it changes wall time only, never output bytes.  Every subcommand rejects
-a value that is not a positive integer with exit 1.
+Monte Carlo in count and cq and of the projection sweep (margulis runs
+serially); it changes wall time only, never output bytes.  Every
+subcommand rejects a value that is not a positive integer with exit 1.
 """
 
 from __future__ import annotations

@@ -39,11 +39,18 @@ carried for bookkeeping but never bias counts or energies here.
 Every pairwise quantity (neighbour counts, clipped energies, near returns)
 comes from one kernel, ``_pair_tiles``, which yields the squared-distance
 matrix of a configuration in blocks of whole rows, each at most
-``_TILE_ENTRIES`` entries (4 MiB per float64 temporary).  Each consumer
-reduces row by row, so a row's sum runs over the same contiguous values as
-it would over the full matrix, and the tile layout depends on the number of
-points alone.  Configurations above ``POINT_CEILING`` points (10^9 pairs,
-the ceiling the lattice side puts on visited points) raise
+``_TILE_ENTRIES`` entries (512 KiB per float64 buffer, so a tile and its
+Gram block stay in a 2 MiB L2 cache).  The kernel allocates its two row
+buffers once per call and refills them for every tile, so a yielded tile is
+a reused buffer: the consumer must reduce it (or copy it) before the
+generator advances, and may overwrite it in place.  Each consumer reduces
+row by row, so a row's sum runs over the same contiguous values as it
+would over the full matrix, and the tile layout depends on the number of
+points alone.  The bits of a tile do depend on its row count, though: BLAS
+edge kernels round the Gram block differently for different block shapes,
+so ``_TILE_ENTRIES`` is part of the output contract until every product is
+fixed-order arithmetic.  Configurations above ``POINT_CEILING`` points
+(10^9 pairs, the ceiling the lattice side puts on visited points) raise
 CapacityExceeded before any tile is built.
 """
 
@@ -69,8 +76,10 @@ _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 #: Most points in one configuration: at most DEFAULT_CEILING pairs per matrix.
 POINT_CEILING = math.isqrt(DEFAULT_CEILING)
 
-#: Entries per tile of the pairwise kernel (4 MiB per float64 temporary).
-_TILE_ENTRIES = 1 << 19
+#: Entries per tile of the pairwise kernel: 512 KiB per float64 buffer, two
+#: buffers per call, reused for every tile.  Changing it can move output bits
+#: (see the module docstring).
+_TILE_ENTRIES = 1 << 16
 
 
 def shift_exponential(r: float) -> np.ndarray:
@@ -207,14 +216,27 @@ def _check_point_ceiling(n: int) -> None:
 
 
 def _pair_tiles(x: np.ndarray):
-    """Yield (first_row, d2), d2[k, j] = |x[first_row + k] - x[j]|^2 clipped at 0, in row order."""
+    """Yield (first_row, d2), d2[k, j] = |x[first_row + k] - x[j]|^2 clipped at 0, in row order.
+
+    d2 is a view of one buffer that the next tile overwrites: reduce it
+    before advancing.  The entries are computed as
+    max((sq_i + sq_j) - 2 * (x_i . x_j), 0), operation for operation.
+    """
     n = len(x)
     _check_point_ceiling(n)
     sq = np.sum(x**2, axis=1)
     step = max(1, _TILE_ENTRIES // n)
+    d2_buf = np.empty((min(step, n), n))
+    gram_buf = np.empty_like(d2_buf)
     for i in range(0, n, step):
         rows = slice(i, i + step)
-        yield i, np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
+        m = min(step, n - i)
+        d2, gram = d2_buf[:m], gram_buf[:m]
+        np.add(sq[rows, None], sq[None, :], out=d2)
+        np.matmul(x[rows], x.T, out=gram)
+        gram *= 2.0
+        d2 -= gram
+        yield i, np.maximum(d2, 0.0, out=d2)
 
 
 def _require_unit_ball(config: FiniteConfig) -> np.ndarray:
@@ -375,9 +397,12 @@ def projection_survey(
         for i, d2 in _pair_tiles(xi(r, pts)):
             rows = slice(i, i + len(d2))
             counts[rows] = np.count_nonzero(d2 <= b2, axis=1)
-            clipped = np.maximum(d2, b2)
-            energy = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
-            row_energy[rows] = energy.sum(axis=1) - self_term
+            np.maximum(d2, b2, out=d2)
+            if alpha == 2.0:
+                np.divide(1.0, d2, out=d2)
+            else:
+                np.power(d2, -alpha / 2.0, out=d2)
+            row_energy[rows] = d2.sum(axis=1) - self_term
         return SurveyRow(
             r=r,
             exceptional_fraction=float(np.count_nonzero(counts > bound) / n),
@@ -482,8 +507,13 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
     values = np.empty(n)
     at_floor = np.empty(n, dtype=bool)
     for first, d2 in _pair_tiles(pts):
-        for i, row in enumerate(np.sqrt(d2), start=first):
-            nb = np.sort(row[(row < b) & (np.arange(n) != i)])
+        dist = np.sqrt(d2, out=d2)
+        # the self-pair is excluded by index, so a coincident point still
+        # counts as a return at distance 0
+        k = np.arange(len(dist))
+        dist[k, first + k] = math.inf
+        for i, row in enumerate(dist, start=first):
+            nb = np.sort(row[row < b])
             at_floor[i] = len(nb) <= m
             values[i] = _truncated_energy(nb, b, m, alpha, 1.0)
     return values, at_floor
@@ -521,7 +551,8 @@ def improvement_step_sim(
         new, new_floor = _margulis_profile(moved, b, truncation, alpha)
         return new / old, float(np.mean(new_floor))
 
-    results = parallel_map(one_rho, [float(r) for r in rhos])
+    # serial: the per-row loop of _margulis_profile holds the GIL
+    results = [one_rho(float(r)) for r in rhos]
     ratios = np.stack([r for r, _ in results])
     flat = ratios.ravel()
     return ImprovementStats(

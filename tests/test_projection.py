@@ -3,6 +3,7 @@ truncated-energy machinery on finite configurations."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,3 +552,83 @@ def test_pair_tiles_row_blocks_match_one_tile(monkeypatch):
     assert np.array_equal(tiled[3][1], one[3][1])
     assert not np.all(one[3][1])  # some rows have more than M returns
     assert tiled[3][0] == pytest.approx(one[3][0], rel=1e-12)
+
+
+def _allocating_tiles(x, step):
+    """Reference kernel: one allocating expression per tile, no reused buffers."""
+    sq = np.sum(x**2, axis=1)
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        yield i, np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
+
+
+def _assert_tiles_match_allocating_formula(x):
+    step = max(1, projection._TILE_ENTRIES // len(x))
+    got = [(i, d2.copy()) for i, d2 in projection._pair_tiles(x)]
+    want = list(_allocating_tiles(x, step))
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
+    # 5-column configurations at the default tile size (300 points: a
+    # 218-row tile and an 82-row one) and a 2-column xi image of 2000
+    # points (32-row tiles, a 16-row last one)
+    _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(300, seed=1).points)
+    _assert_tiles_match_allocating_formula(xi(0.3, FiniteConfig.random_ball(2000, seed=0).points))
+    monkeypatch.setattr(projection, "_TILE_ENTRIES", 61 * 8)
+    _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(61, radius=0.5, seed=12).points)
+
+
+def test_projection_survey_energies_match_allocating_reduction():
+    cfg = FiniteConfig.random_ball(300, seed=2)
+    b = 0.05
+    for alpha in (2.0, 1.5):
+        params = ProjectionParams.measured(cfg, alpha=alpha, b1=b, b=b)
+        row = projection_survey(cfg, params, [0.4]).rows[0]
+        img = xi(0.4, cfg.points)
+        step = max(1, projection._TILE_ENTRIES // len(img))
+        energy = np.empty(len(img))
+        self_term = 1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0)
+        for i, d2 in _allocating_tiles(img, step):
+            clipped = np.maximum(d2, b * b)
+            e = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+            energy[i : i + len(d2)] = e.sum(axis=1) - self_term
+        assert row.energy_median == float(np.median(energy))
+        assert row.energy_p95 == float(np.percentile(energy, 95))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_consumers_stay_within_memory_budget():
+    # two 32-row tile buffers of 2000 points are 1 MiB; the budget leaves
+    # room for the per-point outputs but not for n x n or 4 MiB temporaries
+    budget = 4 << 20
+    cfg = FiniteConfig.random_ball(2000, seed=0)
+    params = ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-4, egbd=1.0)
+    assert _traced_peak(lambda: projection_survey(cfg, params, [0.5])) < budget
+    cluster = FiniteConfig.random_ball(2000, radius=0.04, seed=0)
+    assert _traced_peak(lambda: improvement_step_sim(cluster, 1.5, 1.0, 0.02, 1, 2)) < budget
+
+
+def test_margulis_profile_excludes_self_pair_by_index():
+    # rows 0 and 1 are the same point (distance exactly 0 between them);
+    # row 2 has no return within b
+    pts = np.zeros((3, 5))
+    pts[0, :2] = pts[1, :2] = (0.5, 0.25)
+    pts[2, 0] = -0.5
+    values, at_floor = projection._margulis_profile(pts, 0.1, 0, 1.0)
+    assert list(values) == [math.inf, math.inf, 10.0]
+    assert list(at_floor) == [False, False, True]
+    values, at_floor = projection._margulis_profile(pts, 0.1, 1, 1.0)
+    assert list(values) == [10.0, 10.0, 10.0]
+    assert list(at_floor) == [True, True, True]
