@@ -87,6 +87,7 @@ def test_golden_json_outputs_parse():
         ["witness", "--form", "[1,-1,-1]", "--T", "inf"],
         ["witness", "--form", "[1,-1,-1]", "--T", "10", "--eps", "nan"],
         ["count", "--form", "[1,-1,-1]", "--a", "-1", "--b", "1", "--T", "nan"],
+        ["count", "--form", "[1,-1,-1]", "--a", "-1", "--b", "1", "--T", "100000"],  # over the ceiling
         ["dichotomy", "--form", "[1,-1,-1]", "--R", "2", "--T", "nan"],
         ["projection", "--random-theta", "31623"],  # over the point ceiling
         [

@@ -1,11 +1,14 @@
 """Tests for witness search, value counts, and C_Q."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from opplab import enumeration
 from opplab.enumeration import (
     COUNT_CSV_HEADER,
     WITNESS_CSV_HEADER,
@@ -207,6 +210,89 @@ def test_count_values_cross_heavy_brute_oracle():
         assert count_values(form, a, b, 9.0) == brute_count(form, a, b, 9.0)
 
 
+def rank_deficient(c, t, d, perm):
+    # c (x - t y)^2 + d z^2 with its coordinates permuted by perm
+    m = np.array([[c, -c * t, 0.0], [-c * t, c * t * t, 0.0], [0.0, 0.0, d]])
+    p = np.eye(3)[list(perm)]
+    return TernaryForm.from_matrix(p.T @ m @ p)
+
+
+def test_count_values_tangent_window_end():
+    # Q = 1.6 exactly where the row's parabola only touches the window, at
+    # (0, 1, -3) among others: a discriminant that rounds below zero must not
+    # drop the row
+    form = TernaryForm(-0.2, 0.1, 0.1, 0.0, 0.0, -0.1)
+    a = b = 1.6000000000000003
+    assert form.evaluate([0, 1, -3]) == a
+    assert brute_count(form, a, b, 5.0) == 4
+    assert count_values(form, a, b, 5.0) == 4
+
+
+def test_count_values_rank_deficient_attained_windows_brute_oracle():
+    # windows whose ends are values the form takes (a = b included) on
+    # rank-deficient forms, where whole lines of vectors sit on a window end
+    rng = np.random.default_rng(40)
+    cases = itertools.product(
+        (-0.2, 0.3, 1.0), (0.5, 2.0, 1.0 / 3.0, 0.1), (0.1, -1.0), itertools.permutations(range(3))
+    )
+    for n, (c, t, d, perm) in enumerate(cases):
+        form = rank_deficient(c, t, d, perm)
+        T = (3.0, 6.5, 9.0)[n % 3]
+        pts = rng.integers(-int(T), int(T) + 1, size=(2, 3)).astype(float)
+        lo, hi = sorted(float(x) for x in form.evaluate(pts))
+        for a, b in ((lo, lo), (lo, hi), (hi, hi)):
+            want = brute_count(form, a, b, T)
+            assert count_values(form, a, b, T) == want, (form.entries, a, b, T)
+
+
+def test_count_values_past_the_float_range_scans_whole_rows():
+    # the rounding bounds overflow for entries near 1e200, so rows are
+    # scanned whole and the exact mask alone decides
+    form = TernaryForm(1e200, -1e200, 3e199, 1e199, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in ((-1e200, 1e201), (0.0, 0.0), (1e200, 1e200)):
+            assert count_values(form, a, b, 4.0) == brute_count(form, a, b, 4.0)
+
+
+def test_window_hits_block_layout_matches_default(monkeypatch):
+    # a budget of a few pairs puts every row in a block of its own
+    forms = [
+        SQF2.form,
+        TernaryForm(0.3, -0.9, 1.7, 0.4, -1.1, 0.2),
+        TernaryForm(0.0, 0.0, 0.0, 1.0, 0.5, 0.0),  # linear branch
+    ]
+
+    def hits(form):
+        counter = enumeration._Capacity(None)
+        blocks = list(enumeration._window_hits(form, -1.0, 1.0, 12.5**2, counter))
+        v = np.concatenate([blk[0] for blk in blocks]).tolist()
+        vals = np.concatenate([blk[1] for blk in blocks]).tolist()
+        found = dict(zip(map(tuple, v), vals))
+        assert len(found) == len(v)  # no vector twice
+        return len(blocks), found
+
+    default = [hits(form) for form in forms]
+    monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", 3)
+    for form, (n_blocks, want) in zip(forms, default):
+        got_blocks, got = hits(form)
+        assert got_blocks > n_blocks
+        assert got == want
+        assert len(got) == brute_count(form, -1.0, 1.0, 12.5)
+
+
+def test_count_pass_stays_within_memory_budget():
+    # one T = 2000 pass holds one block's scratch rows at a time: 0.85 MiB
+    # traced at 8,192 pairs per block, 1.6 MiB at 16,384, 6.1 MiB at 65,536
+    count_values(SQF2, -1.0, 1.0, 50.0)  # warm up lazily built numpy state
+    tracemalloc.start()
+    try:
+        assert count_values(SQF2, -1.0, 1.0, 2000.0) == 23200
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20, peak
+
+
 def test_count_values_monotonicity():
     q = SQF2
     assert count_values(q, -1.0, 0.5, 20.0) <= count_values(q, -1.0, 1.0, 20.0)
@@ -287,6 +373,30 @@ def test_count_vs_main_term_reports():
         assert r.ratio == pytest.approx(r.count / r.main_term, rel=1e-12)
         assert not r.degenerate_window
         assert r.csv_row()[-1] == 0
+
+
+def test_count_vs_main_term_ladder_in_input_order():
+    ladder = [20, 5, 20, 12.5]
+    reports = count_vs_main_term(SQF2, -1.0, 1.0, ladder, samples=10**5, seed=0)
+    assert [r.T for r in reports] == [20.0, 5.0, 20.0, 12.5]
+    for r in reports:
+        assert r.count == count_values(SQF2, -1.0, 1.0, r.T)
+    assert reports[0] == reports[2]
+
+
+def test_count_vs_main_term_checks_before_monte_carlo(monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before the arguments were checked")
+
+    monkeypatch.setattr(enumeration, "main_term_constant", no_monte_carlo)
+    for ladder in ([20.0, 5.0, math.nan], [0.5, 20.0], [20.0, math.inf, 5.0], []):
+        with pytest.raises(ValueError):
+            count_vs_main_term(SQF2, -1.0, 1.0, ladder)
+    with pytest.raises(ValueError):
+        count_vs_main_term(SQF2, 1.0, -1.0, [5.0])
+    # the disc of the largest T alone is over the ceiling
+    with pytest.raises(CapacityExceeded):
+        count_vs_main_term(SQF2, -1.0, 1.0, [5.0, 100000.0])
 
 
 def test_count_vs_main_term_degenerate_window():
