@@ -43,7 +43,7 @@ import numpy as np
 from .enumeration import DEFAULT_CEILING
 from .errors import SignatureMismatch
 from .forms import REFERENCE_FORM, NormalizedForm, TernaryForm, normalize
-from .lattice import _enumerate_frame, _shortest_in_frame, lll_reduce, shortest_vector_coeffs
+from .lattice import _Frame, lll_reduce, shortest_vector_coeffs
 
 _DET_TOL = 1e-10
 
@@ -213,14 +213,19 @@ def form_to_basepoint(q) -> Basepoint:
     return Basepoint(g=ge, x0=LatticePoint(g), sign=eps, residual=residual)
 
 
+def _bump(t: float) -> float:
+    """The bump at |v| = t * radius: exp(1 - 1/(1 - t^2)) for t < 1, else 0."""
+    return math.exp(1.0 - 1.0 / (1.0 - t * t)) if t < 1.0 else 0.0
+
+
 def bump_values(norms: np.ndarray, radius: float) -> np.ndarray:
-    """Radial smooth bump f = exp(1 - 1/(1 - (|v|/radius)^2)) inside, 0 outside."""
+    """Radial smooth bump f = exp(1 - 1/(1 - (|v|/radius)^2)) inside, 0 outside.
+
+    Evaluated entry by entry with the same scalar formula as the Siegel
+    samples, so the two agree bit for bit.
+    """
     t = np.asarray(norms, dtype=float) / radius
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return out
+    return np.fromiter(map(_bump, t.ravel().tolist()), dtype=float, count=t.size).reshape(t.shape)
 
 
 def bump_mass(radius: float) -> float:
@@ -261,6 +266,28 @@ class EquidistReport:
         }
 
 
+def _siegel_sample(
+    basis: np.ndarray, f_radius: float, ceiling: Optional[int]
+) -> tuple[float, float]:
+    """(Siegel transform of the bump, shortest vector length) at one lattice.
+
+    One reduction and one walk of the bump ball.  The bump values are summed
+    one by one in walk order.  A ball that holds a nonzero point also holds
+    the shortest vector, so its least norm is the shortest length, with the
+    same bits as shortest_vector_coeffs (same frame, same norm sums);
+    otherwise the ball of the shortest reduced column is walked in the same
+    frame.
+    """
+    frame = _Frame(*lll_reduce(basis))
+    _, norms2 = frame.walk(f_radius, ceiling=ceiling)
+    total = 0.0
+    for n2 in norms2:  # not sum(): from Python 3.12 it compensates float sums
+        total += _bump(math.sqrt(n2) / f_radius)
+    if not norms2:
+        _, norms2 = frame.walk(frame.shortest_radius(), ceiling=ceiling)
+    return total, math.sqrt(min(norms2))
+
+
 def siegel_average(
     f_radius: float,
     x0: LatticePoint,
@@ -274,6 +301,8 @@ def siegel_average(
     Sample points are equispaced in [0,1] with seeded jitter (variance
     reduction with honest randomization).  min_inj reports the shortest
     lattice vector seen over all samples, a Mahler-compactness diagnostic.
+    Each sample is reduced once and walks its bump ball once, and the
+    shortest length is read off that ball (see _siegel_sample).
     """
     if not 1 < T < math.inf:
         raise ValueError(f"T must be finite and > 1, got {T}")
@@ -285,16 +314,7 @@ def siegel_average(
     rs = (np.arange(N) + rng.random(N)) / N
     a_mat = flow_a(math.log(T)).mat
 
-    def one_sample(r: float) -> tuple[float, float]:
-        # one reduction per sample; the bump ball and the shortest-vector
-        # ball are both enumerated in its frame
-        Bred, U = lll_reduce(a_mat @ flow_u(r).mat @ x0.basis)
-        _, norms = _enumerate_frame(Bred, U, f_radius, ceiling=ceiling, return_norms=True)
-        total = float(np.sum(bump_values(norms, f_radius))) if len(norms) else 0.0
-        _, short_len = _shortest_in_frame(Bred, U, ceiling=ceiling)
-        return total, short_len
-
-    results = [one_sample(r) for r in rs]
+    results = [_siegel_sample(a_mat @ flow_u(r).mat @ x0.basis, f_radius, ceiling) for r in rs]
     empirical = math.fsum(f for f, _ in results) / N
     min_inj = min(l for _, l in results)
     haar = bump_mass(f_radius)

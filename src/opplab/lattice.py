@@ -6,20 +6,27 @@ Bases are stored column-wise, so a basis matrix B spans the lattice
 ball enumeration is Fincke-Pohst, walking nested coordinate intervals of
 the Cholesky factor from the last coordinate inward.  Dimensions here are
 tiny (3 for lattices in space, 7 for the Diophantine candidate lattice in
-module approx), so the reduction works on Python floats and ints, one
-list per column, and recomputes the Gram-Schmidt data from scratch at
-every step: simple and numerically fresh.  Dot products are plain
-sequential sums, which on 3x3 data cost less than a numpy call and, unlike
-a BLAS dot product, do not depend on the BLAS kernel.
+module approx), so everything runs on Python floats and ints, one list
+per column.  The reduction keeps the Gram-Schmidt rows of the columns it
+has not touched and recomputes only the rows from the first changed
+column on.
 
-One reduced frame (Bred, U) serves any number of enumerations: callers
-that need several balls of the same lattice reduce it once and enumerate
-through ``_enumerate_frame`` and ``_shortest_in_frame``.
+Dot products and lattice vectors are plain sequential sums in a fixed
+order: on 3x3 data they cost less than a numpy call, and unlike a BLAS
+product (whose kernel may fuse or reorder the multiply-adds) they give the
+same bits on every machine.  Every norm the 3-D enumeration returns is
+((m0 b0 + m1 b1) + m2 b2) per coordinate, summed as (x^2 + y^2) + z^2, over
+the reduced columns b0, b1, b2.
+
+One reduced frame (``_Frame``) serves any number of enumerations: callers
+that need several balls of the same lattice reduce it once and walk each
+ball in the frame.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -35,16 +42,19 @@ def _dot(a: list[float], b: list[float]) -> float:
     return s
 
 
-def _gram_schmidt(cols: list[list[float]], n: int) -> tuple[list[list[float]], list[float]]:
-    """Orthogonalization data for the first n columns: (mu rows, squared norms of B*).
+def _extend_gram_schmidt(
+    cols: list[list[float]],
+    stars: list[list[float]],
+    mu: list[list[float]],
+    norms2: list[float],
+    n: int,
+) -> None:
+    """Append the Gram-Schmidt rows (B*, mu, |B*|^2) of columns len(stars)..n-1.
 
-    Column i of B* depends only on columns 0..i, so the data of a leading
-    block equals that of the whole basis.
+    Row i depends only on columns 0..i, so rows of leading columns that
+    have not changed stay valid and are kept as they are.
     """
-    stars: list[list[float]] = []
-    mu: list[list[float]] = []
-    norms2: list[float] = []
-    for i in range(n):
+    for i in range(len(stars), n):
         b = cols[i]
         v = b
         row = []
@@ -55,7 +65,6 @@ def _gram_schmidt(cols: list[list[float]], n: int) -> tuple[list[list[float]], l
         stars.append(v)
         mu.append(row)
         norms2.append(_dot(v, v))
-    return mu, norms2
 
 
 def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
@@ -65,6 +74,12 @@ def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
     transform integral unimodular (float64 and int64 arrays).  The
     iteration count is capped; hitting the cap leaves a partially reduced
     basis, which only costs enumeration speed, never correctness.
+
+    Each step extends the Gram-Schmidt data to the columns it needs and
+    drops the rows of the columns it changes (column k after a size
+    reduction, columns k-1 and k after a swap); every row is computed by
+    the same sums from the same columns as a full recomputation would, so
+    the result does not depend on what was kept.
     """
     B = np.array(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -74,25 +89,182 @@ def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("basis is singular")
     cols = B.T.tolist()
     U = [[int(i == j) for i in range(n)] for j in range(n)]
+    stars: list[list[float]] = []
+    mu: list[list[float]] = []
+    norms2: list[float] = []
     k = 1
     for _ in range(_MAX_LLL_ITER):
         if k >= n:
             break
-        mu, norms2 = _gram_schmidt(cols, k + 1)
+        _extend_gram_schmidt(cols, stars, mu, norms2, k + 1)
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q != 0:
                 cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
                 U[k] = [x - q * y for x, y in zip(U[k], U[j])]
-                mu, norms2 = _gram_schmidt(cols, k + 1)
+                del stars[k:], mu[k:], norms2[k:]
+                _extend_gram_schmidt(cols, stars, mu, norms2, k + 1)
         m = mu[k][k - 1]
         if norms2[k] >= (delta - m * m) * norms2[k - 1]:
             k += 1
         else:
             cols[k - 1], cols[k] = cols[k], cols[k - 1]
             U[k - 1], U[k] = U[k], U[k - 1]
+            del stars[k - 1 :], mu[k - 1 :], norms2[k - 1 :]
             k = max(k - 1, 1)
     return np.array(cols, dtype=float).T.copy(), np.array(U, dtype=np.int64).T.copy()
+
+
+def _basis3(basis) -> np.ndarray:
+    B = np.array(basis, dtype=float)
+    if B.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 basis, got {B.shape}")
+    return B
+
+
+def _pivot(p: float) -> float:
+    """Square root of a Cholesky pivot, which must be positive."""
+    if not p > 0.0:
+        raise ValueError("reduced basis is numerically singular")
+    return math.sqrt(p)
+
+
+class _Frame:
+    """An LLL-reduced frame (Bred, U) of a 3-D lattice, ready for ball walks.
+
+    Holds the reduced columns, U, and the upper Cholesky factor R of
+    G + jitter I, with G the Gram matrix of the reduced columns.  The tiny
+    jitter keeps the factorization defined on nearly degenerate input; it
+    inflates the traversal norm of a coefficient vector m by jitter |m|^2,
+    which is at most jitter r^2 / lam in the ball of radius r, with
+    lam > 0 a proven lower bound on the least eigenvalue of G, so each walk
+    widens its traversal radius by that much and stays a superset of the
+    ball.  The exact norm filter decides membership.
+
+    lam comes from the reduced columns alone: the eigenvalues l1 <= l2 <= l3
+    of G have l1 l2 l3 = det(Bred)^2 and l2 l3 <= e2(G), the sum of the
+    principal 2x2 minors, which is at most g00 g11 + g00 g22 + g11 g22.  So
+    l1 >= det^2 / (g00 g11 + g00 g22 + g11 g22), which for a reduced frame
+    is within a small constant of l1 and, unlike an inverse of R, never
+    vacuous.  Rounding margins: the cofactor determinant is off by at most
+    5 eps times the sum of the absolute values of its terms, and det_lo
+    subtracts 1e-14 times that sum; the other quantities in lam are sums and
+    products of nonnegative terms with a few roundings each, covered by the
+    factor 1 - 1e-9.  A point of the ball has |m|^2 <= r^2 / lam, and the
+    walk widens r^2 by 1.5 jitter r^2 / lam plus jitter: one jitter |m|^2
+    for the shift itself, and the rest for the rounding of G, of the shift,
+    of the factorization, of the walk's intervals and of the filter's
+    norms.  That rounding stays below 20 eps ((trace G + 3 jitter) |m|^2 +
+    r_t^2), with r_t the traversal radius, which is less than the half
+    jitter r^2 / lam plus jitter left over, as jitter >= 1e-14 max(1, trace G)
+    and lam <= trace G / 3.
+    """
+
+    __slots__ = ("cols", "U", "r00", "r01", "r02", "r11", "r12", "r22", "jitter", "widen")
+
+    def __init__(self, Bred: np.ndarray, U: np.ndarray):
+        self.cols = Bred.T.tolist()
+        self.U = U
+        c0, c1, c2 = self.cols
+        g00, g01, g02 = _dot(c0, c0), _dot(c0, c1), _dot(c0, c2)
+        g11, g12, g22 = _dot(c1, c1), _dot(c1, c2), _dot(c2, c2)
+        jitter = 1e-14 * max(1.0, g00 + g11 + g22)
+        r00 = _pivot(g00 + jitter)
+        r01, r02 = g01 / r00, g02 / r00
+        r11 = _pivot(g11 + jitter - r01 * r01)
+        r12 = (g12 - r01 * r02) / r11
+        r22 = _pivot(g22 + jitter - r02 * r02 - r12 * r12)
+
+        (a, b, c), (d, e, f), (g, h, i) = Bred.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        terms = (
+            abs(a) * (abs(e * i) + abs(f * h))
+            + abs(b) * (abs(d * i) + abs(f * g))
+            + abs(c) * (abs(d * h) + abs(e * g))
+        )
+        det_lo = abs(det) - 1e-14 * terms
+        if not det_lo > 0.0:
+            raise ValueError("reduced basis is numerically singular")
+        lam = (1.0 - 1e-9) * det_lo * det_lo / (g00 * g11 + g00 * g22 + g11 * g22)
+
+        self.r00, self.r01, self.r02 = r00, r01, r02
+        self.r11, self.r12, self.r22 = r11, r12, r22
+        self.jitter = jitter
+        self.widen = 1.5 * jitter / lam
+
+    def _rows(self, r2_trav: float):
+        """Fincke-Pohst rows (m1, m2, lo0, hi0) of the traversal ellipsoid."""
+        r00, r01, r02 = self.r00, self.r01, self.r02
+        r11, r12, r22 = self.r11, self.r12, self.r22
+        lim2 = math.floor(math.sqrt(r2_trav) / r22)
+        for m2 in range(-lim2, lim2 + 1):
+            rem2 = r2_trav - (r22 * m2) ** 2
+            if rem2 < 0:
+                continue
+            c1 = -r12 * m2
+            half1 = math.sqrt(rem2)
+            lo1 = math.ceil((c1 - half1) / r11)
+            hi1 = math.floor((c1 + half1) / r11)
+            for m1 in range(lo1, hi1 + 1):
+                rem1 = rem2 - (r11 * m1 + r12 * m2) ** 2
+                if rem1 < 0:
+                    continue
+                c0 = -(r01 * m1 + r02 * m2)
+                half0 = math.sqrt(rem1)
+                lo0 = math.ceil((c0 - half0) / r00)
+                hi0 = math.floor((c0 + half0) / r00)
+                if hi0 >= lo0:
+                    yield m1, m2, lo0, hi0
+
+    def walk(
+        self, radius: float, *, include_zero: bool = False, ceiling: int | None = None
+    ) -> tuple[array, array]:
+        """Reduced coefficients and squared norms of the lattice points in the ball.
+
+        Returns (coefficients, norms2): flat ``array('q')`` triples
+        (m0, m1, m2) with respect to the reduced columns and an
+        ``array('d')``, both in walk order (m2, then m1, then m0
+        ascending).  Only points that pass the norm filter are stored.
+        ``ceiling`` bounds the coefficient slots the walk visits: when the
+        traversal's box could exceed it, the slots are counted, without
+        storing anything, before the walk.
+        """
+        r2 = radius * radius * (1.0 + 1e-12) + 1e-300
+        r2_trav = r2 * (1.0 + self.widen) + self.jitter
+        if ceiling is not None:
+            s2 = 2.0 * math.sqrt(r2_trav)
+            box = (s2 / self.r00 + 2.0) * (s2 / self.r11 + 2.0) * (s2 / self.r22 + 2.0)
+            if box > ceiling:
+                visited = 0
+                for _, _, lo0, hi0 in self._rows(r2_trav):
+                    visited += hi0 - lo0 + 1
+                    if visited > ceiling:
+                        raise CapacityExceeded(
+                            f"ball enumeration visited more than {ceiling} coefficient slots"
+                        )
+        (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = self.cols
+        coeffs = array("q")
+        norms2 = array("d")
+        for m1, m2, lo0, hi0 in self._rows(r2_trav):
+            x1, y1, z1 = m1 * b01, m1 * b11, m1 * b21
+            x2, y2, z2 = m2 * b02, m2 * b12, m2 * b22
+            for m0 in range(lo0, hi0 + 1):
+                x = m0 * b00 + x1 + x2
+                y = m0 * b10 + y1 + y2
+                z = m0 * b20 + z1 + z2
+                n2 = x * x + y * y + z * z
+                if n2 <= r2 and (include_zero or m0 or m1 or m2):
+                    coeffs.extend((m0, m1, m2))
+                    norms2.append(n2)
+        return coeffs, norms2
+
+    def shortest_radius(self) -> float:
+        """Length of the shortest reduced column, by the walk's own norm sums."""
+        return math.sqrt(min(_dot(c, c) for c in self.cols))
+
+    def original(self, coeffs: array) -> np.ndarray:
+        """Reduced coefficient triples as a (k, 3) int64 array in the original basis."""
+        return np.frombuffer(coeffs, dtype=np.int64).reshape(-1, 3) @ self.U.T
 
 
 def enumerate_ball(
@@ -109,7 +281,8 @@ def enumerate_ball(
     deterministic (but otherwise unspecified) order, or (array, norms)
     when ``return_norms`` is set.  The zero vector is included only on
     request.  ``ceiling`` bounds the number of candidate coefficient slots
-    visited before the exact norm filter.
+    visited before the exact norm filter; a walk that would pass it raises
+    CapacityExceeded before it stores any point.
 
     Norms are evaluated against the LLL-reduced columns: for strongly
     sheared bases (diagonal-flow images of a lattice) the reduced frame is
@@ -117,91 +290,13 @@ def enumerate_ball(
     catastrophically.
     """
     B = _basis3(basis)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    Bred, U = lll_reduce(B)
-    return _enumerate_frame(
-        Bred, U, radius, include_zero=include_zero, ceiling=ceiling, return_norms=return_norms
-    )
-
-
-def _basis3(basis) -> np.ndarray:
-    B = np.array(basis, dtype=float)
-    if B.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 basis, got {B.shape}")
-    return B
-
-
-def _enumerate_frame(
-    Bred: np.ndarray,
-    U: np.ndarray,
-    radius: float,
-    *,
-    include_zero: bool = False,
-    ceiling: int | None = None,
-    return_norms: bool = False,
-):
-    """enumerate_ball on an already reduced frame: Bred = basis @ U from lll_reduce.
-
-    Coefficients are returned with respect to the original basis; each call
-    counts its own visited slots against ``ceiling``.
-    """
-    G = Bred.T @ Bred
-    # tiny diagonal jitter keeps Cholesky factorizable on nearly degenerate
-    # input; the traversal radius is widened to cover the inflated norms
-    # (jitter adds at most jitter*|m|^2 <= jitter * r^2 / s_min^2), so the
-    # traversal stays a superset and the exact filter below is authoritative
-    jitter = 1e-14 * max(1.0, float(G.trace()))
-    R = np.linalg.cholesky(G + np.eye(3) * jitter).T
-    r2 = radius * radius * (1.0 + 1e-12) + 1e-300
-    s_min = float(np.linalg.svd(Bred, compute_uv=False)[-1])
-    r2_trav = r2 * (1.0 + jitter / (s_min * s_min)) + jitter
-
-    out: list[np.ndarray] = []
-    visited = 0
-    lim2 = math.floor(math.sqrt(r2_trav) / abs(R[2, 2]))
-    for m2 in range(-lim2, lim2 + 1):
-        rem2 = r2_trav - (R[2, 2] * m2) ** 2
-        if rem2 < 0:
-            continue
-        c1 = -R[1, 2] * m2
-        half1 = math.sqrt(rem2)
-        lo1 = math.ceil((c1 - half1) / R[1, 1])
-        hi1 = math.floor((c1 + half1) / R[1, 1])
-        for m1 in range(lo1, hi1 + 1):
-            rem1 = rem2 - (R[1, 1] * m1 + R[1, 2] * m2) ** 2
-            if rem1 < 0:
-                continue
-            c0 = -(R[0, 1] * m1 + R[0, 2] * m2)
-            half0 = math.sqrt(rem1)
-            lo0 = math.ceil((c0 - half0) / R[0, 0])
-            hi0 = math.floor((c0 + half0) / R[0, 0])
-            if hi0 < lo0:
-                continue
-            visited += hi0 - lo0 + 1
-            if ceiling is not None and visited > ceiling:
-                raise CapacityExceeded(
-                    f"ball enumeration visited more than {ceiling} coefficient slots"
-                )
-            m0 = np.arange(lo0, hi0 + 1, dtype=np.int64)
-            block = np.empty((len(m0), 3), dtype=np.int64)
-            block[:, 0] = m0
-            block[:, 1] = m1
-            block[:, 2] = m2
-            out.append(block)
-
-    if not out:
-        reduced = np.empty((0, 3), dtype=np.int64)
-    else:
-        reduced = np.concatenate(out, axis=0)
-    pts = reduced @ Bred.T
-    norms2 = np.einsum("ij,ij->i", pts, pts)
-    keep = norms2 <= r2
-    if not include_zero:
-        keep &= np.any(reduced != 0, axis=1)
-    cands = reduced[keep] @ U.T.astype(np.int64)
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    frame = _Frame(*lll_reduce(B))
+    coeffs, norms2 = frame.walk(radius, include_zero=include_zero, ceiling=ceiling)
+    cands = frame.original(coeffs)
     if return_norms:
-        return cands, np.sqrt(norms2[keep])
+        return cands, np.sqrt(np.frombuffer(norms2, dtype=float))
     return cands
 
 
@@ -212,22 +307,17 @@ def shortest_vector_coeffs(basis, *, ceiling: int | None = None) -> tuple[np.nda
     sign is canonicalized (first nonzero coefficient positive) and ties in
     length resolve to the lexicographically least coefficient tuple.
     """
-    Bred, U = lll_reduce(_basis3(basis))
-    return _shortest_in_frame(Bred, U, ceiling=ceiling)
-
-
-def _shortest_in_frame(
-    Bred: np.ndarray, U: np.ndarray, *, ceiling: int | None = None
-) -> tuple[np.ndarray, float]:
-    """shortest_vector_coeffs on an already reduced frame (see _enumerate_frame)."""
-    bound = float(np.min(np.linalg.norm(Bred, axis=0)))
-    cands, lens = _enumerate_frame(Bred, U, bound, ceiling=ceiling, return_norms=True)
-    if len(cands) == 0:
-        # cannot happen for a nonsingular basis: the first reduced column qualifies
+    frame = _Frame(*lll_reduce(_basis3(basis)))
+    coeffs, norms2 = frame.walk(frame.shortest_radius(), ceiling=ceiling)
+    if not norms2:
+        # cannot happen for a nonsingular basis: the shortest reduced column qualifies
         raise CapacityExceeded("shortest-vector enumeration returned no candidates")
-    # canonical sign per candidate
-    first_nz = np.argmax(cands != 0, axis=1)
-    signs = np.sign(cands[np.arange(len(cands)), first_nz])
-    cands = cands * signs[:, None]
-    best = min(range(len(cands)), key=lambda i: (lens[i], tuple(cands[i])))
-    return cands[best].copy(), float(lens[best])
+    best = None
+    for cand, n2 in zip(frame.original(coeffs).tolist(), norms2):
+        if next(c for c in cand if c) < 0:
+            cand = [-c for c in cand]
+        key = (math.sqrt(n2), cand)
+        if best is None or key < best:
+            best = key
+    length, cand = best
+    return np.array(cand, dtype=np.int64), length

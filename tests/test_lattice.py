@@ -1,11 +1,16 @@
 """Tests for LLL reduction and exact ball enumeration on 3-d lattices."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opplab import approx, lattice
+from opplab import approx, flows, lattice
 from opplab.errors import CapacityExceeded
 from opplab.flows import flow_a, flow_u, form_to_basepoint
 from opplab.forms import TernaryForm, normalize
@@ -114,6 +119,12 @@ def test_enumerate_ball_validation_and_ceiling():
     assert len(enumerate_ball(np.eye(3), 0.5)) == 0
 
 
+def test_enumerate_ball_rejects_non_finite_radius():
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            enumerate_ball(np.eye(3), radius)
+
+
 def test_shortest_vector_identity_lattice():
     coeffs, length = shortest_vector_coeffs(np.eye(3))
     assert length == 1.0
@@ -213,19 +224,23 @@ def _sqf2():
     return normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
 
 
-def test_lll_matches_numpy_reference_on_sheared_bases():
+def _siegel_bases():
     # the Siegel-sample bases a(log T) u(r) x0 of the equidist experiment
     x0 = form_to_basepoint(_sqf2()).x0
     rng = np.random.default_rng(28)
     rs = (np.arange(70) + rng.random(70)) / 70
-    checked = 0
+    bases = []
     for T in (20.0, 400.0, 8000.0):
         a_mat = flow_a(math.log(T)).mat
-        for r in rs:
-            basis = a_mat @ flow_u(r).mat @ x0.basis
-            _assert_same_bits(lll_reduce(basis), _reference_lll_reduce(basis))
-            checked += 1
-    assert checked >= 200
+        bases.extend(a_mat @ flow_u(r).mat @ x0.basis for r in rs)
+    return bases
+
+
+def test_lll_matches_numpy_reference_on_sheared_bases():
+    bases = _siegel_bases()
+    for basis in bases:
+        _assert_same_bits(lll_reduce(basis), _reference_lll_reduce(basis))
+    assert len(bases) >= 200
 
 
 def _mirror(v):
@@ -275,3 +290,109 @@ def test_shortest_vector_reduces_once(monkeypatch):
     coeffs, length = shortest_vector_coeffs(b)
     assert len(calls) == 1
     assert length == pytest.approx(np.linalg.norm(b @ coeffs), rel=1e-9)
+
+
+# numpy ball traversal as it stood before the scalar walk (Cholesky, SVD and
+# BLAS norms), kept as an oracle for the coefficient sets of the walk
+def _reference_enumerate_frame(Bred, U, radius):
+    G = Bred.T @ Bred
+    jitter = 1e-14 * max(1.0, float(G.trace()))
+    R = np.linalg.cholesky(G + np.eye(3) * jitter).T
+    r2 = radius * radius * (1.0 + 1e-12) + 1e-300
+    s_min = float(np.linalg.svd(Bred, compute_uv=False)[-1])
+    r2_trav = r2 * (1.0 + jitter / (s_min * s_min)) + jitter
+    rows = []
+    lim2 = math.floor(math.sqrt(r2_trav) / abs(R[2, 2]))
+    for m2 in range(-lim2, lim2 + 1):
+        rem2 = r2_trav - (R[2, 2] * m2) ** 2
+        if rem2 < 0:
+            continue
+        c1, half1 = -R[1, 2] * m2, math.sqrt(rem2)
+        for m1 in range(math.ceil((c1 - half1) / R[1, 1]), math.floor((c1 + half1) / R[1, 1]) + 1):
+            rem1 = rem2 - (R[1, 1] * m1 + R[1, 2] * m2) ** 2
+            if rem1 < 0:
+                continue
+            c0, half0 = -(R[0, 1] * m1 + R[0, 2] * m2), math.sqrt(rem1)
+            for m0 in range(math.ceil((c0 - half0) / R[0, 0]), math.floor((c0 + half0) / R[0, 0]) + 1):
+                rows.append((m0, m1, m2))
+    reduced = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    pts = reduced @ Bred.T
+    keep = (np.einsum("ij,ij->i", pts, pts) <= r2) & np.any(reduced != 0, axis=1)
+    return reduced[keep] @ U.T
+
+
+def test_walk_matches_reference_traversal_on_siegel_bases():
+    checked = 0
+    for b in _siegel_bases():
+        Bred, U = lll_reduce(b)
+        frame = lattice._Frame(Bred, U)
+        for radius in (2.0, frame.shortest_radius()):
+            cands, norms = enumerate_ball(b, radius, return_norms=True)
+            got = {tuple(row) for row in cands.tolist()}
+            assert len(got) == len(cands) > 0
+            assert got == {tuple(row) for row in _reference_enumerate_frame(Bred, U, radius).tolist()}
+            # the same points in the reduced frame: Bred @ reduced = b @ cands
+            reduced = np.rint(np.linalg.solve(U, cands.T)).T
+            want = np.linalg.norm(reduced @ Bred.T, axis=1)
+            assert np.all(np.abs(norms - want) <= 4 * np.spacing(want))
+            checked += 1
+    assert checked == 420
+
+
+@pytest.mark.parametrize("f_radius", [1.5, 0.05])
+def test_siegel_sample_reads_shortest_length_off_the_bump_ball(monkeypatch, f_radius):
+    # f_radius 1.5 holds a nonzero point at every sample, 0.05 at none, so the
+    # two cover the bump-ball minimum and the second walk
+    walks = []
+    walk = lattice._Frame.walk
+
+    def counting(self, *args, **kwargs):
+        walks.append(1)
+        return walk(self, *args, **kwargs)
+
+    bases = _siegel_bases()
+    monkeypatch.setattr(lattice._Frame, "walk", counting)
+    for b in bases:
+        assert flows._siegel_sample(b, f_radius, None)[1] == shortest_vector_coeffs(b)[1]
+    assert len(walks) == len(bases) * (2 if f_radius == 1.5 else 3)
+
+
+def test_ceiling_trips_before_the_walk_stores_points():
+    # an enumerator that stores every visited row grows the peak RSS by about 235 MB here
+    code = """
+import resource
+import numpy as np
+from opplab.errors import CapacityExceeded
+from opplab.lattice import enumerate_ball
+enumerate_ball(np.eye(3), 2.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    enumerate_ball(np.eye(3), 300.0, ceiling=10**7)
+except CapacityExceeded:
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB only on Linux")
+    src = str(Path(lattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120
+    )
+    assert float(proc.stdout) < 20.0
+
+
+def test_enumeration_does_not_depend_on_the_blas_kernel(run_under_coretype):
+    # the bases are built here once, so both runs enumerate the same floats
+    bases = json.dumps([b.tolist() for b in _siegel_bases()])
+    code = f"""
+import hashlib, json
+import numpy as np
+from opplab.lattice import enumerate_ball, shortest_vector_coeffs
+h = hashlib.sha256()
+for b in json.loads({bases!r}):
+    for part in (*enumerate_ball(b, 2.0, return_norms=True), *shortest_vector_coeffs(b)):
+        h.update(np.asarray(part).tobytes())
+print(h.hexdigest())
+"""
+    assert run_under_coretype("Haswell", code) == run_under_coretype("Prescott", code)
