@@ -11,10 +11,10 @@ The package has four legs, one per family of experiments:
   restricted projections, non-concentration surveys, and truncated energies.
 
 Everything is deterministic for a fixed seed.  OPPLAB_THREADS sizes the
-thread pool of the Monte Carlo counting constant (main_term_constant) and
-of the projection survey (projection_survey); it trades wall time only.
-Lattice reduction, the Siegel samples and the truncated-energy transports
-(improvement_step_sim) run serially.
+thread pool of the projection survey (projection_survey), the only step
+that runs on one; it trades wall time only.  The Monte Carlo counting
+constant (main_term_constant), lattice reduction, the Siegel samples and
+the truncated-energy transports (improvement_step_sim) run serially.
 """
 
 from .approx import (
@@ -60,7 +60,6 @@ from .flows import (
     flow_a,
     flow_u,
     form_to_basepoint,
-    shortest_vector,
     siegel_average,
     v_elem,
 )
@@ -81,12 +80,10 @@ from .projection import (
     SurveyRow,
     adjoint_a,
     adjoint_u,
-    expansion_check,
     expansion_check_rows,
     improvement_step_sim,
     margulis_value,
     nonconcentration_constant,
-    plus_part,
     projection_concentration,
     projection_survey,
     shift_exponential,
@@ -137,7 +134,6 @@ __all__ = [
     "dichotomy_report",
     "discrepancy_scan",
     "enumerate_ball",
-    "expansion_check",
     "expansion_check_rows",
     "find_witness",
     "flow_a",
@@ -150,11 +146,9 @@ __all__ = [
     "nonconcentration_constant",
     "normalize",
     "parse_form",
-    "plus_part",
     "projection_concentration",
     "projection_survey",
     "shift_exponential",
-    "shortest_vector",
     "shortest_vector_coeffs",
     "siegel_average",
     "signed_inverse_cuberoot",

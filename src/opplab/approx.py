@@ -67,9 +67,6 @@ class IntegralForm:
     def sup_norm(self) -> int:
         return max(abs(x) for x in self.entries)
 
-    def as_form(self) -> TernaryForm:
-        return TernaryForm(*(float(x) for x in self.entries))
-
     def to_json_obj(self) -> dict[str, int]:
         keys = ("m11", "m22", "m33", "m12", "m13", "m23")
         return {k: int(v) for k, v in zip(keys, self.entries)}

@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 usage or input errors, 2 scientific anomaly
 and yet witness coverage fell below the configured floor).
 
 The OPPLAB_THREADS environment variable caps the worker threads of the
-Monte Carlo in count and cq and of the projection sweep (margulis runs
-serially); it changes wall time only, never output bytes.  Every
-subcommand rejects a value that is not a positive integer with exit 1.
+projection sweep, the only step that runs on a thread pool; it changes
+wall time only, never output bytes.  Every subcommand rejects a value that
+is not a positive integer with exit 1.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .enumeration import (
     witness_table,
 )
 from .errors import OppLabError
-from .flows import EQUIDIST_CSV_HEADER, discrepancy_scan, form_to_basepoint
+from .flows import EQUIDIST_CSV_HEADER, discrepancy_scan
 from .forms import normalize, parse_form
 from .projection import (
     SURVEY_CSV_HEADER,
@@ -246,7 +246,6 @@ def cmd_rational(args) -> int:
 
 def cmd_equidist(args) -> int:
     q = normalize(parse_form(args.form))
-    form_to_basepoint(q)  # fail fast with a clear signature diagnostic
     reports = discrepancy_scan(q, _float_list(args.T), args.N, args.f_radius, seed=args.seed)
     if args.format == "json":
         _write(args, _json_text([r.to_json_obj() for r in reports]))

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, DefiniteForm
 from .forms import NormalizedForm, TernaryForm
-from .util import chunk_sizes, parallel_map, spawn_rngs, uniform_ball, weighted_mean_stderr
+from .util import chunk_sizes, spawn_rngs, uniform_ball, weighted_mean_stderr
 
 #: Hard ceiling on the work of one enumeration (spec default): the (u, v)
 #: pairs every _window_hits pass scans plus the candidate vectors it
@@ -160,16 +160,8 @@ class WitnessTable:
     T: float
 
     @property
-    def entries(self) -> list[tuple[float, Optional[WitnessRecord]]]:
-        return list(zip(self.targets, self.records))
-
-    @property
     def witnessed(self) -> int:
         return sum(r is not None for r in self.records)
-
-    @property
-    def missing_fraction(self) -> float:
-        return 1.0 - self.witnessed / len(self.targets)
 
     def csv_rows(self) -> list[tuple]:
         """One row per target; unwitnessed targets leave the vector cells empty."""
@@ -546,16 +538,12 @@ def main_term_constant(
         raise DefiniteForm("the coarea constant needs an indefinite form")
 
     sizes = chunk_sizes(samples, min(262_144, max(625, samples // 16)))
-    rngs = spawn_rngs(seed, len(sizes))
-
-    def one_chunk(idx: int) -> float:
-        pts = uniform_ball(rngs[idx], sizes[idx], 3)
-        av = np.abs(form.evaluate(pts))
-        e_full = np.count_nonzero(av <= delta) / sizes[idx] * _V_BALL / (2.0 * delta)
-        e_half = np.count_nonzero(av <= delta / 2.0) / sizes[idx] * _V_BALL / delta
-        return (_SQRT2 * e_half - e_full) / (_SQRT2 - 1.0)
-
-    estimates = parallel_map(one_chunk, range(len(sizes)))
+    estimates = []
+    for rng, size in zip(spawn_rngs(seed, len(sizes)), sizes):
+        av = np.abs(form.evaluate(uniform_ball(rng, size, 3)))
+        e_full = np.count_nonzero(av <= delta) / size * _V_BALL / (2.0 * delta)
+        e_half = np.count_nonzero(av <= delta / 2.0) / size * _V_BALL / delta
+        estimates.append((_SQRT2 * e_half - e_full) / (_SQRT2 - 1.0))
     return weighted_mean_stderr(estimates, sizes)
 
 

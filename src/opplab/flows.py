@@ -43,7 +43,7 @@ import numpy as np
 from .enumeration import DEFAULT_CEILING
 from .errors import SignatureMismatch
 from .forms import REFERENCE_FORM, NormalizedForm, TernaryForm, normalize
-from .lattice import _Frame, lll_reduce, shortest_vector_coeffs
+from .lattice import _Frame, lll_reduce
 
 _DET_TOL = 1e-10
 
@@ -77,9 +77,6 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.mat @ other.mat)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.mat))
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -126,19 +123,9 @@ class LatticePoint:
 
     __hash__ = None  # mutable ndarray payload; equality is geometric
 
-    def serialize(self) -> list[float]:
-        """Row-major 9-tuple of the basis, the JSON wire format."""
-        return [float(x) for x in self.basis.reshape(-1)]
-
 
 def act(g: GroupElement, x: LatticePoint) -> LatticePoint:
     return LatticePoint(g.mat @ x.basis)
-
-
-def shortest_vector(x: LatticePoint, ceiling: Optional[int] = DEFAULT_CEILING):
-    """Shortest nonzero vector of the lattice: (integer coefficients, length)."""
-    coeffs, length = shortest_vector_coeffs(x.basis, ceiling=ceiling)
-    return tuple(int(c) for c in coeffs), length
 
 
 @dataclass(frozen=True)

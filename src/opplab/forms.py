@@ -78,11 +78,6 @@ class TernaryForm:
         )
         return float(out) if out.ndim == 0 else out
 
-    def gradient(self, v) -> np.ndarray:
-        """grad Q(v) = 2 M v, batched over leading axes."""
-        v = np.asarray(v, dtype=float)
-        return 2.0 * (v @ self.matrix.T)
-
     def determinant(self) -> float:
         """det of the Gram matrix, by the closed cofactor formula."""
         a, b, c = self.m11, self.m22, self.m33
@@ -170,9 +165,6 @@ class NormalizedForm:
     determinant: float
     signature: tuple[int, int]
     scale: float
-
-    def evaluate(self, v):
-        return self.form.evaluate(v)
 
 
 def normalize(form: TernaryForm) -> NormalizedForm:

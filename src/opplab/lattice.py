@@ -67,8 +67,8 @@ def _extend_gram_schmidt(
         norms2.append(_dot(v, v))
 
 
-def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
-    """LLL-reduce the columns of ``basis``.
+def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
+    """LLL-reduce the columns of ``basis`` with delta = 0.99.
 
     Returns (reduced, transform) with reduced = basis @ transform and
     transform integral unimodular (float64 and int64 arrays).  The
@@ -105,7 +105,7 @@ def lll_reduce(basis, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
                 del stars[k:], mu[k:], norms2[k:]
                 _extend_gram_schmidt(cols, stars, mu, norms2, k + 1)
         m = mu[k][k - 1]
-        if norms2[k] >= (delta - m * m) * norms2[k - 1]:
+        if norms2[k] >= (0.99 - m * m) * norms2[k - 1]:
             k += 1
         else:
             cols[k - 1], cols[k] = cols[k], cols[k - 1]
@@ -132,35 +132,36 @@ def _pivot(p: float) -> float:
 class _Frame:
     """An LLL-reduced frame (Bred, U) of a 3-D lattice, ready for ball walks.
 
-    Holds the reduced columns, U, and the upper Cholesky factor R of
-    G + jitter I, with G the Gram matrix of the reduced columns.  The tiny
-    jitter keeps the factorization defined on nearly degenerate input; it
-    inflates the traversal norm of a coefficient vector m by jitter |m|^2,
-    which is at most jitter r^2 / lam in the ball of radius r, with
-    lam > 0 a proven lower bound on the least eigenvalue of G, so each walk
-    widens its traversal radius by that much and stays a superset of the
-    ball.  The exact norm filter decides membership.
+    Holds the reduced columns c0, c1, c2, U, and the upper Cholesky factor
+    R of G + D, with G the Gram matrix of the reduced columns and
+    D = 1e-14 diag(g00, g11, g22) a per-column jitter that keeps the
+    factorization defined on nearly degenerate input.  The jitter inflates
+    the traversal norm of a coefficient vector m by 1e-14 S, with
+    S = sum g_ii m_i^2, so each walk widens its traversal radius to stay a
+    superset of the ball.  The exact norm filter decides membership.
 
-    lam comes from the reduced columns alone: the eigenvalues l1 <= l2 <= l3
-    of G have l1 l2 l3 = det(Bred)^2 and l2 l3 <= e2(G), the sum of the
-    principal 2x2 minors, which is at most g00 g11 + g00 g22 + g11 g22.  So
-    l1 >= det^2 / (g00 g11 + g00 g22 + g11 g22), which for a reduced frame
-    is within a small constant of l1 and, unlike an inverse of R, never
-    vacuous.  Rounding margins: the cofactor determinant is off by at most
-    5 eps times the sum of the absolute values of its terms, and det_lo
-    subtracts 1e-14 times that sum; the other quantities in lam are sums and
-    products of nonnegative terms with a few roundings each, covered by the
-    factor 1 - 1e-9.  A point of the ball has |m|^2 <= r^2 / lam, and the
-    walk widens r^2 by 1.5 jitter r^2 / lam plus jitter: one jitter |m|^2
-    for the shift itself, and the rest for the rounding of G, of the shift,
-    of the factorization, of the walk's intervals and of the filter's
-    norms.  That rounding stays below 20 eps ((trace G + 3 jitter) |m|^2 +
-    r_t^2), with r_t the traversal radius, which is less than the half
-    jitter r^2 / lam plus jitter left over, as jitter >= 1e-14 max(1, trace G)
-    and lam <= trace G / 3.
+    The widening comes from Cramer's rule: m_i is det(Bred) with column i
+    replaced by v = Bred m, divided by det(Bred), so Hadamard's inequality
+    gives |m_i| |c_i| <= |v| |c0| |c1| |c2| / |det|.  In the ball of radius
+    r that is S <= h r^2 with h = 3 g00 g11 g22 / det^2, which is at least 3
+    and, for a reduced frame, a small constant.  The jitter of each column
+    scales with that column, so frames whose column lengths spread widely
+    are walked as tightly as round ones.  Rounding margins: the cofactor
+    determinant is off by at most 5 eps times the sum of the absolute
+    values of its terms, and det_lo subtracts 1e-14 times that sum; the
+    few roundings of the products in h are covered by the factor 1 + 1e-9.
+    The walk widens r^2 by 2e-14 h r^2: 1e-14 h r^2 for the jitter itself,
+    and the rest for the rounding of G, of the jitter, of the
+    factorization, of the walk's intervals and of the filter's norms.  Each
+    of those is a few eps |m_i| |m_j| |c_i| |c_j| per entry (i, j), or a
+    few eps r_t^2 with r_t the traversal radius, and by Cauchy-Schwarz
+    (sum |m_i| |c_i|)^2 <= 3 S, so together they stay below
+    20 eps (3 (1 + 1e-14) S + r_t^2) <= 0.67e-14 h r^2
+    + 0.23e-14 (1 + 2e-14 h) r^2, which is less than the 1e-14 h r^2 left
+    over because h >= 3.
     """
 
-    __slots__ = ("cols", "U", "r00", "r01", "r02", "r11", "r12", "r22", "jitter", "widen")
+    __slots__ = ("cols", "U", "r00", "r01", "r02", "r11", "r12", "r22", "widen")
 
     def __init__(self, Bred: np.ndarray, U: np.ndarray):
         self.cols = Bred.T.tolist()
@@ -168,12 +169,11 @@ class _Frame:
         c0, c1, c2 = self.cols
         g00, g01, g02 = _dot(c0, c0), _dot(c0, c1), _dot(c0, c2)
         g11, g12, g22 = _dot(c1, c1), _dot(c1, c2), _dot(c2, c2)
-        jitter = 1e-14 * max(1.0, g00 + g11 + g22)
-        r00 = _pivot(g00 + jitter)
+        r00 = _pivot(g00 + 1e-14 * g00)
         r01, r02 = g01 / r00, g02 / r00
-        r11 = _pivot(g11 + jitter - r01 * r01)
+        r11 = _pivot(g11 + 1e-14 * g11 - r01 * r01)
         r12 = (g12 - r01 * r02) / r11
-        r22 = _pivot(g22 + jitter - r02 * r02 - r12 * r12)
+        r22 = _pivot(g22 + 1e-14 * g22 - r02 * r02 - r12 * r12)
 
         (a, b, c), (d, e, f), (g, h, i) = Bred.tolist()
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -185,12 +185,11 @@ class _Frame:
         det_lo = abs(det) - 1e-14 * terms
         if not det_lo > 0.0:
             raise ValueError("reduced basis is numerically singular")
-        lam = (1.0 - 1e-9) * det_lo * det_lo / (g00 * g11 + g00 * g22 + g11 * g22)
+        hadamard = (1.0 + 1e-9) * 3.0 * g00 * g11 * g22 / (det_lo * det_lo)
 
         self.r00, self.r01, self.r02 = r00, r01, r02
         self.r11, self.r12, self.r22 = r11, r12, r22
-        self.jitter = jitter
-        self.widen = 1.5 * jitter / lam
+        self.widen = 2e-14 * hadamard
 
     def _rows(self, r2_trav: float):
         """Fincke-Pohst rows (m1, m2, lo0, hi0) of the traversal ellipsoid."""
@@ -216,10 +215,8 @@ class _Frame:
                 if hi0 >= lo0:
                     yield m1, m2, lo0, hi0
 
-    def walk(
-        self, radius: float, *, include_zero: bool = False, ceiling: int | None = None
-    ) -> tuple[array, array]:
-        """Reduced coefficients and squared norms of the lattice points in the ball.
+    def walk(self, radius: float, *, ceiling: int | None = None) -> tuple[array, array]:
+        """Reduced coefficients and squared norms of the nonzero lattice points in the ball.
 
         Returns (coefficients, norms2): flat ``array('q')`` triples
         (m0, m1, m2) with respect to the reduced columns and an
@@ -230,7 +227,7 @@ class _Frame:
         storing anything, before the walk.
         """
         r2 = radius * radius * (1.0 + 1e-12) + 1e-300
-        r2_trav = r2 * (1.0 + self.widen) + self.jitter
+        r2_trav = r2 * (1.0 + self.widen)
         if ceiling is not None:
             s2 = 2.0 * math.sqrt(r2_trav)
             box = (s2 / self.r00 + 2.0) * (s2 / self.r11 + 2.0) * (s2 / self.r22 + 2.0)
@@ -253,7 +250,7 @@ class _Frame:
                 y = m0 * b10 + y1 + y2
                 z = m0 * b20 + z1 + z2
                 n2 = x * x + y * y + z * z
-                if n2 <= r2 and (include_zero or m0 or m1 or m2):
+                if n2 <= r2 and (m0 or m1 or m2):
                     coeffs.extend((m0, m1, m2))
                     norms2.append(n2)
         return coeffs, norms2
@@ -271,18 +268,17 @@ def enumerate_ball(
     basis,
     radius: float,
     *,
-    include_zero: bool = False,
     ceiling: int | None = None,
     return_norms: bool = False,
 ):
-    """All integer coefficient vectors m with ``|basis @ m| <= radius``.
+    """All nonzero integer coefficient vectors m with ``|basis @ m| <= radius``.
 
     ``basis`` must be 3x3 nonsingular.  Returns an (k, 3) int64 array in a
     deterministic (but otherwise unspecified) order, or (array, norms)
-    when ``return_norms`` is set.  The zero vector is included only on
-    request.  ``ceiling`` bounds the number of candidate coefficient slots
-    visited before the exact norm filter; a walk that would pass it raises
-    CapacityExceeded before it stores any point.
+    when ``return_norms`` is set.  ``ceiling`` bounds the number of
+    candidate coefficient slots visited before the exact norm filter; a
+    walk that would pass it raises CapacityExceeded before it stores any
+    point.
 
     Norms are evaluated against the LLL-reduced columns: for strongly
     sheared bases (diagonal-flow images of a lattice) the reduced frame is
@@ -293,7 +289,7 @@ def enumerate_ball(
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     frame = _Frame(*lll_reduce(B))
-    coeffs, norms2 = frame.walk(radius, include_zero=include_zero, ceiling=ceiling)
+    coeffs, norms2 = frame.walk(radius, ceiling=ceiling)
     cands = frame.original(coeffs)
     if return_norms:
         return cands, np.sqrt(np.frombuffer(norms2, dtype=float))

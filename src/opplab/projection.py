@@ -26,9 +26,9 @@ explicit knobs here (C, c, eps); nothing asymptotic is asserted.
 
 The Margulis-style function on a finite configuration is a truncated
 energy: given the displacement vectors w of near returns (closer than
-b * inj, with inj frozen to 1 in this linearized picture),
+b, the injectivity radius being frozen to 1 in this linearized picture),
 
-    value = (b * inj)^(-alpha)                      if #returns <= M,
+    value = b^(-alpha)                              if #returns <= M,
             sum of |w|^(-alpha) over all but the M smallest norms otherwise,
 
 where dropping exactly the M smallest norms realizes the minimum over all
@@ -103,11 +103,6 @@ def adjoint_a(t: float, w) -> np.ndarray:
     return w * np.exp(WEIGHTS * t)
 
 
-def plus_part(w) -> np.ndarray:
-    """Projection to the positive-weight coordinates (w0, w1)."""
-    return np.asarray(w, dtype=float)[..., :2]
-
-
 def xi(r: float, w) -> np.ndarray:
     """The restricted projection: plus part of the transported vector."""
     return adjoint_u(r, w)[..., :2]
@@ -124,25 +119,14 @@ def adjoint_u_rows(W: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def expansion_check(w, r: float, ell: float) -> tuple[float, float, bool]:
-    """Verify |adjoint_a(ell, y)| >= e^ell * |y+| for y = adjoint_u(r, w).
-
-    The inequality is exact in the weight basis (the plus coordinates scale
-    by e^(2 ell) and e^ell, both >= e^ell for ell >= 0); the boolean allows
-    1e-9 slack for floating point.
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    if not 0 <= ell < math.inf:
-        raise ValueError(f"ell must be finite and >= 0, got {ell}")
-    y = adjoint_u(r, np.asarray(w, dtype=float))
-    lhs = float(np.linalg.norm(adjoint_a(ell, y)))
-    rhs = float(math.exp(ell) * np.linalg.norm(y[:2]))
-    return lhs, rhs, lhs >= rhs - 1e-9
-
-
 def expansion_check_rows(W: np.ndarray, r: np.ndarray, ell: np.ndarray):
-    """Vectorized expansion_check over rows; returns (lhs, rhs, ok) arrays."""
+    """Verify |adjoint_a(ell_i, y_i)| >= e^ell_i * |y_i+| for y_i = adjoint_u(r_i, W_i).
+
+    Returns (lhs, rhs, ok) arrays, one entry per row.  The inequality is
+    exact in the weight basis (the plus coordinates scale by e^(2 ell) and
+    e^ell, both >= e^ell for ell >= 0); ok allows 1e-9 slack for floating
+    point.
+    """
     ell = np.asarray(ell, dtype=float)
     if not np.all((ell >= 0) & (ell < math.inf)):
         raise ValueError("ell must be finite and >= 0")
@@ -366,28 +350,26 @@ def projection_survey(
     *,
     survey_const: float = 10.0,
     survey_exp: float = 10.0,
-    row_threshold: Optional[float] = None,
 ) -> SurveyResult:
     """Concentration statistics of xi_r over a grid of r in [0, 1].
 
     A point violates at r when more than
     survey_const * egbd * b^(alpha - survey_exp*eps) * #Theta images fall
     within b of its own; r is exceptional when the violating fraction
-    exceeds row_threshold (default b^eps).  Truncated-at-b pairwise
-    energies of the image are reported per r as summary quantiles.
+    exceeds row_threshold = b^eps.  Truncated-at-b pairwise energies of the
+    image are reported per r as summary quantiles.
     """
     pts = _require_unit_ball(config)
     rs = [float(r) for r in r_grid]
     if not all(0 <= r <= 1 for r in rs):
         raise ValueError("r_grid must lie in [0, 1]")
-    named = {"survey_const": survey_const, "survey_exp": survey_exp, "row_threshold": row_threshold}
-    for name, value in named.items():
-        if value is not None and not math.isfinite(value):
+    for name, value in {"survey_const": survey_const, "survey_exp": survey_exp}.items():
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     n = len(pts)
     b, alpha = params.b, params.alpha
     bound = survey_const * params.egbd * b ** (alpha - survey_exp * params.eps) * n
-    threshold = b**params.eps if row_threshold is None else float(row_threshold)
+    threshold = b**params.eps
     b2 = b * b
     self_term = 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
 
@@ -423,15 +405,11 @@ def projection_survey(
 
 @dataclass(frozen=True)
 class MargulisParams:
-    """Knobs of the truncated-energy function.
-
-    inj is frozen to 1 in this linearized simulator.
-    """
+    """Knobs of the truncated-energy function."""
 
     b: float
     truncation: int
     alpha: float
-    inj: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.b <= 0.1:
@@ -440,15 +418,13 @@ class MargulisParams:
             raise ValueError(f"truncation must be a nonnegative integer, got {self.truncation}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0 < self.inj < math.inf:
-            raise ValueError(f"inj must be finite and positive, got {self.inj}")
 
 
 def margulis_value(neighbors, params: MargulisParams) -> float:
     """Truncated energy of the near returns listed in ``neighbors``.
 
     The caller supplies the displacement vectors of returns closer than
-    b * inj (no filtering happens here, so the floor case can be exercised
+    b (no filtering happens here, so the floor case can be exercised
     directly).  With more than ``truncation`` returns, the M smallest norms
     are dropped and the rest contribute |w|^(-alpha); a zero norm makes the
     value infinite, as it should.
@@ -459,12 +435,12 @@ def margulis_value(neighbors, params: MargulisParams) -> float:
     if arr.ndim != 2:
         raise ValueError(f"neighbors must be a (k, 5) array, got shape {arr.shape}")
     norms = np.sort(np.linalg.norm(arr, axis=1))
-    return _truncated_energy(norms, params.b, params.truncation, params.alpha, params.inj)
+    return _truncated_energy(norms, params.b, params.truncation, params.alpha)
 
 
-def _truncated_energy(sorted_norms: np.ndarray, b: float, m: int, alpha: float, inj: float) -> float:
+def _truncated_energy(sorted_norms: np.ndarray, b: float, m: int, alpha: float) -> float:
     if len(sorted_norms) <= m:
-        return float((b * inj) ** (-alpha))
+        return float(b ** (-alpha))
     kept = sorted_norms[m:]
     with np.errstate(divide="ignore"):
         # fsum: the value is the correctly rounded sum, independent of term
@@ -502,7 +478,7 @@ class ImprovementStats:
 
 
 def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point truncated energy over a configuration; inj = 1 throughout."""
+    """Per-point truncated energy over a configuration."""
     n = len(pts)
     values = np.empty(n)
     at_floor = np.empty(n, dtype=bool)
@@ -515,7 +491,7 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
         for i, row in enumerate(dist, start=first):
             nb = np.sort(row[row < b])
             at_floor[i] = len(nb) <= m
-            values[i] = _truncated_energy(nb, b, m, alpha, 1.0)
+            values[i] = _truncated_energy(nb, b, m, alpha)
     return values, at_floor
 
 

@@ -1,9 +1,11 @@
-"""Shared helpers: worker pool sizing and deterministic chunked sampling.
+"""Shared helpers: the worker pool and deterministic chunked sampling.
 
-Every stochastic routine in the package draws from numpy substreams spawned
-off a single SeedSequence, with the chunk layout fixed by the input sizes
-alone.  Results are reduced in chunk order, so the number of worker threads
-(OPPLAB_THREADS) changes wall time but never changes a single output byte.
+The Monte Carlo draws from numpy substreams spawned off a single
+SeedSequence, with the chunk layout fixed by the input sizes alone, and
+reduces its chunks in order.  The only thread pool, parallel_map, serves the
+projection survey: it returns results in input order, so the number of
+worker threads (OPPLAB_THREADS) changes wall time but never a single output
+byte.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def brute_min_primitive_witness(q, s, eps, n2_cap):
             [np.full(int(np.count_nonzero(sel)), x, dtype=np.int64), yf[sel], zf[sel]],
             axis=1,
         )
-        vals = q.evaluate(vecs.astype(float))
+        vals = q.form.evaluate(vecs.astype(float))
         hit = np.abs(vals - s) <= eps
         if not np.any(hit):
             continue
@@ -91,7 +91,7 @@ def test_criterion_01_witness_coverage_grid():
     # re-verify every record by direct evaluation and primitivity
     for rec in witnessed:
         v = np.array(rec.v, dtype=float)
-        assert abs(float(SQF2.evaluate(v)) - rec.s) <= 0.02 + 1e-9
+        assert abs(float(SQF2.form.evaluate(v)) - rec.s) <= 0.02 + 1e-9
         assert math.gcd(math.gcd(abs(rec.v[0]), abs(rec.v[1])), abs(rec.v[2])) == 1
         first = next(c for c in rec.v if c != 0)
         assert first > 0
@@ -201,7 +201,8 @@ def test_criterion_04_counting_constant_circular_cone():
 def brute_window_count_diagonal(q, a, b, T):
     """Octant scan with multiplicities; same evaluate() arithmetic as the
     library, so the counts must agree exactly."""
-    entries = q.form.entries if hasattr(q, "form") else q.entries
+    form = q.form if hasattr(q, "form") else q
+    entries = form.entries
     assert entries[3] == entries[4] == entries[5] == 0.0
     n = int(T)
     ax = np.arange(0, n + 1, dtype=np.int64)
@@ -218,7 +219,7 @@ def brute_window_count_diagonal(q, a, b, T):
             [np.full(int(np.count_nonzero(sel)), x, dtype=np.int64), yf[sel], zf[sel]],
             axis=1,
         )
-        vals = q.evaluate(vecs.astype(float))
+        vals = form.evaluate(vecs.astype(float))
         inside = (vals >= a) & (vals <= b)
         total += int(np.sum(mult_yz[sel][inside] * (1 + (x > 0))))
     if a <= 0.0 <= b:

@@ -113,7 +113,9 @@ def test_integral_form_exact_determinant():
     )
     assert g.determinant() == by_cofactors
     # too large for float64 determinants to certify, hence the exact path
-    assert g.determinant() != round(float(np.linalg.det(np.array(g.as_form().matrix))))
+    m11, m22, m33, m12, m13, m23 = g.entries
+    gram = np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]], dtype=float)
+    assert g.determinant() != round(float(np.linalg.det(gram)))
     assert g.sup_norm() == 1000000
 
 

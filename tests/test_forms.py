@@ -9,7 +9,6 @@ import pytest
 from opplab.errors import DefiniteForm, DegenerateForm
 from opplab.forms import (
     REFERENCE_FORM,
-    NormalizedForm,
     TernaryForm,
     normalize,
     parse_form,
@@ -80,26 +79,6 @@ def test_gram_matrix_reconstruction_from_evaluate():
         for j in range(i + 1, 3):
             val = f.evaluate(e[i] + e[j]) - m[i, i] - m[j, j]
             assert val == pytest.approx(2.0 * m[i, j], rel=1e-12, abs=1e-14)
-
-
-def test_gradient_examples_and_oracle():
-    np.testing.assert_array_equal(
-        REFERENCE_FORM.gradient((0.0, 1.0, 0.0)), [0.0, 2.0, 0.0]
-    )
-    np.testing.assert_array_equal(
-        TernaryForm(1.0, -1.0, -1.0).gradient((1.0, 1.0, 1.0)), [2.0, -2.0, -2.0]
-    )
-    f = TernaryForm(0.3, -0.7, 1.1, 0.2, -0.4, 0.9)
-    np.testing.assert_array_equal(f.gradient((0.0, 0.0, 0.0)), [0.0, 0.0, 0.0])
-    # finite differences
-    rng = np.random.default_rng(14)
-    v = rng.normal(size=3)
-    h = 1e-6
-    for i in range(3):
-        dv = np.zeros(3)
-        dv[i] = h
-        fd = (f.evaluate(v + dv) - f.evaluate(v - dv)) / (2.0 * h)
-        assert f.gradient(v)[i] == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
 def test_determinant_examples_and_numpy_oracle():
@@ -270,9 +249,3 @@ def test_parse_form_inline_and_file(tmp_path):
     assert parse_form(str(path)) == REFERENCE_FORM
     with pytest.raises(ValueError):
         parse_form("not json and not a file")
-
-
-def test_normalized_form_evaluate_delegates():
-    n = normalize(TernaryForm(1.0, -1.0, -1.0))
-    assert isinstance(n, NormalizedForm)
-    assert n.evaluate((1.0, 1.0, 0.0)) == 0.0

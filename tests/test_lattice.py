@@ -17,7 +17,7 @@ from opplab.forms import TernaryForm, normalize
 from opplab.lattice import enumerate_ball, lll_reduce, shortest_vector_coeffs
 
 
-def brute_coeff_box(basis, radius, include_zero=False):
+def brute_coeff_box(basis, radius):
     # exhaustive coefficient box guaranteed to cover the ball: |m| is bounded
     # by |B^-1| * radius per coordinate
     B = np.asarray(basis, dtype=float)
@@ -26,9 +26,7 @@ def brute_coeff_box(basis, radius, include_zero=False):
     g = np.meshgrid(rng, rng, rng, indexing="ij")
     m = np.stack([x.ravel() for x in g], axis=1)
     pts = m @ B.T
-    keep = np.einsum("ij,ij->i", pts, pts) <= radius * radius
-    if not include_zero:
-        keep &= np.any(m != 0, axis=1)
+    keep = (np.einsum("ij,ij->i", pts, pts) <= radius * radius) & np.any(m != 0, axis=1)
     return {tuple(int(v) for v in row) for row in m[keep]}
 
 
@@ -88,8 +86,7 @@ def test_enumerate_ball_include_zero_and_norms():
     rng = np.random.default_rng(24)
     b = rand_basis(rng)
     plain = enumerate_ball(b, 2.0)
-    with_zero = enumerate_ball(b, 2.0, include_zero=True)
-    assert len(with_zero) == len(plain) + 1
+    assert len(plain) > 0 and not np.any(np.all(plain == 0, axis=1))
     cands, norms = enumerate_ball(b, 2.0, return_norms=True)
     np.testing.assert_allclose(
         norms, np.linalg.norm(cands @ b.T, axis=1), rtol=1e-9, atol=1e-12
@@ -380,6 +377,46 @@ except CapacityExceeded:
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120
     )
     assert float(proc.stdout) < 20.0
+
+
+def test_spread_frame_walks_close_to_its_ball(monkeypatch):
+    # a jitter set by the longest column widened this walk 150-fold:
+    # 1,063,949 slots for 74,722 points
+    slots = []
+    rows = lattice._Frame._rows
+
+    def counting(self, r2_trav):
+        for row in rows(self, r2_trav):
+            slots.append(row[3] - row[2] + 1)
+            yield row
+
+    monkeypatch.setattr(lattice._Frame, "_rows", counting)
+    pts = enumerate_ball(np.diag([1e4, 1.0, 1e-4]), 1.5)
+    assert len(pts) == 74_722
+    assert sum(slots) <= 2 * len(pts)
+
+
+def test_spread_frame_ball_matches_brute_force_under_the_ceiling():
+    # about 7.5e5 points; the old widening refused this walk at the ceiling.
+    # The reduced frame is a signed permutation of the columns, so the walk's
+    # norm (x^2 + y^2) + z^2 has the same bits as the one below
+    got = enumerate_ball(np.diag([1e5, 1.0, 1e-5]), 1.5, ceiling=10**7)
+    r2 = 1.5 * 1.5 * (1.0 + 1e-12) + 1e-300
+    m2 = np.arange(-150_001, 150_002)
+    want = []
+    for m0 in (-1, 0, 1):
+        for m1 in range(-2, 3):
+            x, y, z = m0 * 1e5, m1 * 1.0, m2 * 1e-5
+            keep = ((x * x + y * y) + z * z <= r2) & ((m0 != 0) | (m1 != 0) | (m2 != 0))
+            k = int(np.count_nonzero(keep))
+            want.append(np.stack([np.full(k, m0), np.full(k, m1), m2[keep]], axis=1))
+    want = np.concatenate(want)
+    assert len(want) > 7 * 10**5
+
+    def lex_sorted(a):
+        return a[np.lexsort(a.T[::-1])]
+
+    np.testing.assert_array_equal(lex_sorted(got), lex_sorted(want))
 
 
 def test_enumeration_does_not_depend_on_the_blas_kernel(run_under_coretype):

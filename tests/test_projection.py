@@ -19,12 +19,10 @@ from opplab.projection import (
     adjoint_a,
     adjoint_u,
     adjoint_u_rows,
-    expansion_check,
     expansion_check_rows,
     improvement_step_sim,
     margulis_value,
     nonconcentration_constant,
-    plus_part,
     projection_concentration,
     projection_survey,
     shift_exponential,
@@ -97,7 +95,6 @@ def test_a_u_intertwining():
 
 def test_plus_part_and_xi():
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(plus_part(w), [1.0, 2.0])
     assert np.array_equal(xi(0.0, w), [1.0, 2.0])
     e4 = np.zeros(5)
     e4[4] = 1.0
@@ -141,26 +138,23 @@ def test_expansion_check_equality_case():
     e1[1] = 1.0
     for r in (0.3, 1.9):
         w = adjoint_u(-r, e1)
-        lhs, rhs, ok = expansion_check(w, r, 0.8)
-        assert ok
-        assert lhs == rhs
+        lhs, rhs, ok = expansion_check_rows(w[None, :], np.array([r]), np.array([0.8]))
+        assert ok[0]
+        assert lhs[0] == rhs[0]
 
 
 def test_expansion_check_zero_plus_part():
     e2 = np.zeros(5)
     e2[2] = 1.0
     w = adjoint_u(-0.7, e2)
-    lhs, rhs, ok = expansion_check(w, 0.7, 1.3)
-    assert (lhs, rhs, ok) == (1.0, 0.0, True)
+    lhs, rhs, ok = expansion_check_rows(w[None, :], np.array([0.7]), np.array([1.3]))
+    assert (lhs[0], rhs[0], bool(ok[0])) == (1.0, 0.0, True)
 
 
 def test_expansion_check_validation():
-    with pytest.raises(ValueError):
-        expansion_check(np.ones(5), 0.5, -0.1)
-    with pytest.raises(ValueError):
-        expansion_check(np.ones(5), 0.5, math.nan)
-    with pytest.raises(ValueError):
-        expansion_check(np.ones(5), math.nan, 0.1)
+    for r, ell in ((0.5, -0.1), (0.5, math.nan), (math.nan, 0.1)):
+        with pytest.raises(ValueError):
+            expansion_check_rows(np.ones((1, 5)), np.array([r]), np.array([ell]))
     with pytest.raises(ValueError):
         expansion_check_rows(np.ones((2, 5)), np.zeros(2), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
@@ -174,10 +168,10 @@ def test_expansion_check_rows_match_scalar():
     ells = 3.0 * rng.random(40)
     lhs, rhs, ok = expansion_check_rows(W, rs, ells)
     for i in range(40):
-        l, r, o = expansion_check(W[i], rs[i], ells[i])
-        assert lhs[i] == pytest.approx(l, rel=1e-12)
-        assert rhs[i] == pytest.approx(r, rel=1e-12)
-        assert bool(ok[i]) == o
+        l, r, o = expansion_check_rows(W[i : i + 1], rs[i : i + 1], ells[i : i + 1])
+        assert lhs[i] == pytest.approx(l[0], rel=1e-12)
+        assert rhs[i] == pytest.approx(r[0], rel=1e-12)
+        assert ok[i] == o[0]
     assert np.all(ok)
 
 
@@ -346,7 +340,7 @@ def test_projection_survey_grid_validation():
         projection_survey(cfg, params, [0.0, 1.2])
     with pytest.raises(ValueError):
         projection_survey(cfg, params, [math.nan])
-    for name in ("survey_const", "survey_exp", "row_threshold"):
+    for name in ("survey_const", "survey_exp"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 projection_survey(cfg, params, [0.5], **{name: bad})
@@ -361,9 +355,6 @@ def test_projection_survey_bound_and_threshold_bookkeeping():
     assert res.row_threshold == 0.05**params.eps
     assert len(res.rows) == 3
     assert [row.r for row in res.rows] == [0.0, 0.5, 1.0]
-    override = projection_survey(cfg, params, [0.0, 0.5, 1.0], row_threshold=2.0)
-    assert override.exceptional_r_fraction == 0.0
-    assert override.row_threshold == 2.0
 
 
 def test_projection_survey_two_point_energy_oracle():
@@ -415,7 +406,6 @@ def test_margulis_params_validation():
         dict(b=0.1, truncation=-1, alpha=1.0),
         dict(b=0.1, truncation=1.5, alpha=1.0),
         dict(b=0.1, truncation=0, alpha=0.0),
-        dict(b=0.1, truncation=0, alpha=1.0, inj=0.0),
         dict(b=0.05, truncation=1, alpha=math.nan),
         dict(b=math.nan, truncation=1, alpha=1.0),
         dict(b=0.05, truncation=math.nan, alpha=1.0),
@@ -447,7 +437,6 @@ def test_margulis_value_empty_floor_and_inj():
     empty = np.zeros((0, 5))
     assert margulis_value(empty, MargulisParams(b=0.1, truncation=0, alpha=1.5)) == 31.62277660168379
     assert margulis_value([], MargulisParams(b=0.1, truncation=0, alpha=1.0)) == 10.0
-    assert margulis_value([], MargulisParams(b=0.1, truncation=0, alpha=1.0, inj=0.5)) == 20.0
 
 
 def test_margulis_value_edge_cases():
