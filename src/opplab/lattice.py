@@ -6,10 +6,15 @@ Bases are stored column-wise, so a basis matrix B spans the lattice
 ball enumeration is Fincke-Pohst, walking nested coordinate intervals of
 the Cholesky factor from the last coordinate inward.  Dimensions here are
 tiny (3 for lattices in space, 7 for the Diophantine candidate lattice in
-module approx), so everything runs on Python floats and ints, one list
-per column.  The reduction keeps the Gram-Schmidt rows of the columns it
-has not touched and recomputes only the rows from the first changed
-column on.
+module approx), so everything runs on Python floats and ints.  A 3x3
+basis is reduced by an unrolled body (``_lll_3d``) that holds each column
+in three float locals; any other size runs the general loop
+(``_lll_general``, one list per column), whose only caller is the 7-D
+heuristic candidate lattice and which goes when that path is deleted.
+Both take the same steps with the same sums, so they return the same
+bits; the tests compare them with each other and with a numpy reference.
+Both keep the Gram-Schmidt rows of the columns they have not touched and
+recompute only the rows from the first changed column on.
 
 Dot products and lattice vectors are plain sequential sums in a fixed
 order: on 3x3 data they cost less than a numpy call, and unlike a BLAS
@@ -67,27 +72,17 @@ def _extend_gram_schmidt(
         norms2.append(_dot(v, v))
 
 
-def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
-    """LLL-reduce the columns of ``basis`` with delta = 0.99.
+def _lll_general(cols: list[list[float]]) -> tuple[list[list[float]], list[list[int]]]:
+    """LLL steps of any dimension on columns ``cols`` (changed in place).
 
-    Returns (reduced, transform) with reduced = basis @ transform and
-    transform integral unimodular (float64 and int64 arrays).  The
-    iteration count is capped; hitting the cap leaves a partially reduced
-    basis, which only costs enumeration speed, never correctness.
-
-    Each step extends the Gram-Schmidt data to the columns it needs and
-    drops the rows of the columns it changes (column k after a size
-    reduction, columns k-1 and k after a swap); every row is computed by
-    the same sums from the same columns as a full recomputation would, so
-    the result does not depend on what was kept.
+    Returns (cols, U) with U[j] the integer column j of the transform.  Each
+    step extends the Gram-Schmidt data to the columns it needs and drops
+    the rows of the columns it changes (column k after a size reduction,
+    columns k-1 and k after a swap); every row is computed by the same sums
+    from the same columns as a full recomputation would, so the result does
+    not depend on what was kept.
     """
-    B = np.array(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"expected a square basis matrix, got shape {B.shape}")
-    n = B.shape[1]
-    if abs(np.linalg.det(B)) == 0.0:
-        raise ValueError("basis is singular")
-    cols = B.T.tolist()
+    n = len(cols)
     U = [[int(i == j) for i in range(n)] for j in range(n)]
     stars: list[list[float]] = []
     mu: list[list[float]] = []
@@ -112,7 +107,102 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
             U[k - 1], U[k] = U[k], U[k - 1]
             del stars[k - 1 :], mu[k - 1 :], norms2[k - 1 :]
             k = max(k - 1, 1)
+    return cols, U
+
+
+def _lll_3d(cols: list[list[float]]) -> tuple[list[list[float]], list[list[int]]]:
+    """The steps of ``_lll_general`` on three columns, unrolled.
+
+    Same decisions in the same order, from the same sums: a column is three
+    float locals, and a Gram-Schmidt value is recomputed only when a column
+    it depends on changed, just before it is read.  Row 0 is n0 = |b0|^2
+    (b0* = b0), row 1 is mu10, b1* = (sx1, sy1, sz1) and n1 = |b1*|^2, and
+    row 2 is mu20, mu21 and n2 = |b2*|^2 (b2* is never read).  Each mu is
+    the dot product of the column itself with b_j*, so mu21 does not depend
+    on mu20 and is read first.  Entering k = 2, rows 0 and 1 are current.
+    """
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = cols
+    u0, u1, u2 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    n0 = 0.0 + x0 * x0 + y0 * y0 + z0 * z0
+    k = 1
+    for _ in range(_MAX_LLL_ITER):
+        if k == 1:
+            m10 = (0.0 + x1 * x0 + y1 * y0 + z1 * z0) / n0 if n0 > 0 else 0.0
+            q = round(m10)
+            if q != 0:
+                x1, y1, z1 = x1 - q * x0, y1 - q * y0, z1 - q * z0
+                u1 = [a - q * b for a, b in zip(u1, u0)]
+                m10 = (0.0 + x1 * x0 + y1 * y0 + z1 * z0) / n0 if n0 > 0 else 0.0
+            sx1, sy1, sz1 = x1 - m10 * x0, y1 - m10 * y0, z1 - m10 * z0
+            n1 = 0.0 + sx1 * sx1 + sy1 * sy1 + sz1 * sz1
+            if n1 >= (0.99 - m10 * m10) * n0:
+                k = 2
+            else:
+                x0, y0, z0, x1, y1, z1 = x1, y1, z1, x0, y0, z0
+                u0, u1 = u1, u0
+                n0 = 0.0 + x0 * x0 + y0 * y0 + z0 * z0
+        elif k == 2:
+            m21 = (0.0 + x2 * sx1 + y2 * sy1 + z2 * sz1) / n1 if n1 > 0 else 0.0
+            q = round(m21)
+            if q != 0:
+                x2, y2, z2 = x2 - q * x1, y2 - q * y1, z2 - q * z1
+                u2 = [a - q * b for a, b in zip(u2, u1)]
+            m20 = (0.0 + x2 * x0 + y2 * y0 + z2 * z0) / n0 if n0 > 0 else 0.0
+            q = round(m20)
+            if q != 0:
+                x2, y2, z2 = x2 - q * x0, y2 - q * y0, z2 - q * z0
+                u2 = [a - q * b for a, b in zip(u2, u0)]
+                m20 = (0.0 + x2 * x0 + y2 * y0 + z2 * z0) / n0 if n0 > 0 else 0.0
+            m21 = (0.0 + x2 * sx1 + y2 * sy1 + z2 * sz1) / n1 if n1 > 0 else 0.0
+            vx, vy, vz = x2 - m20 * x0, y2 - m20 * y0, z2 - m20 * z0
+            vx, vy, vz = vx - m21 * sx1, vy - m21 * sy1, vz - m21 * sz1
+            n2 = 0.0 + vx * vx + vy * vy + vz * vz
+            if n2 >= (0.99 - m21 * m21) * n1:
+                k = 3
+            else:
+                x1, y1, z1, x2, y2, z2 = x2, y2, z2, x1, y1, z1
+                u1, u2 = u2, u1
+                k = 1
+        else:
+            break
+    return [[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]], [u0, u1, u2]
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _reduced_arrays(cols: list[list[float]], U: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, transform) as C-contiguous float64 and int64 arrays of the columns."""
+    if not all(_INT64_MIN <= x <= _INT64_MAX for col in U for x in col):
+        raise CapacityExceeded(
+            "LLL transform has an entry beyond the int64 range: the basis is too sheared"
+        )
     return np.array(cols, dtype=float).T.copy(), np.array(U, dtype=np.int64).T.copy()
+
+
+def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
+    """LLL-reduce the columns of ``basis`` with delta = 0.99.
+
+    Returns (reduced, transform) with reduced = basis @ transform and
+    transform integral unimodular (float64 and int64 arrays).  The
+    iteration count is capped; hitting the cap leaves a partially reduced
+    basis, which only costs enumeration speed, never correctness.  A
+    transform entry beyond the int64 range raises CapacityExceeded.
+
+    A 3x3 basis runs the unrolled body ``_lll_3d``; any other size runs
+    ``_lll_general``, whose one caller is the 7-D candidate lattice of
+    ``approx._heuristic_candidates`` (it goes when that heuristic path is
+    deleted).  Both take the same steps with the same sums and so return
+    the same bits; tests/test_lattice.py pins both to the numpy reference
+    ``_reference_lll_reduce`` and to each other.
+    """
+    B = np.array(basis, dtype=float)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise ValueError(f"expected a square basis matrix, got shape {B.shape}")
+    if abs(np.linalg.det(B)) == 0.0:
+        raise ValueError("basis is singular")
+    body = _lll_3d if B.shape[1] == 3 else _lll_general
+    return _reduced_arrays(*body(B.T.tolist()))
 
 
 def _basis3(basis) -> np.ndarray:

@@ -234,10 +234,37 @@ def _siegel_bases():
 
 
 def test_lll_matches_numpy_reference_on_sheared_bases():
-    bases = _siegel_bases()
+    rng = np.random.default_rng(29)
+    unipotent = np.array([[1.0, 0.37, 0.37**2 / 2.0], [0.0, 1.0, 0.37], [0.0, 0.0, 1.0]])
+    bases = [
+        *_siegel_bases(),
+        np.diag([1e4, 1.0, 1e-4]),
+        np.diag([1e5, 1.0, 1e-5]) @ unipotent,
+        *(rand_basis(rng, 3) for _ in range(50)),
+    ]
     for basis in bases:
         _assert_same_bits(lll_reduce(basis), _reference_lll_reduce(basis))
-    assert len(bases) >= 200
+    assert len(bases) >= 260
+
+
+def _integer_bases(rng, count):
+    bases = []
+    while len(bases) < count:
+        b = rng.integers(-4, 5, size=(3, 3)).astype(float)
+        if round(abs(np.linalg.det(b))) != 0:
+            bases.append(b)
+    return bases
+
+
+def test_lll_3d_body_matches_general_body():
+    # integer bases put exact half-integer mu ties in the reduction, where
+    # the numpy reference's BLAS dot rounds to either side; the general body
+    # sums in the same order as the 3-D body, so the two agree bit for bit
+    rng = np.random.default_rng(30)
+    bases = [*_integer_bases(rng, 3000), *(rand_basis(rng, 3) for _ in range(200)), *_siegel_bases()]
+    for basis in bases:
+        general = lattice._reduced_arrays(*lattice._lll_general(basis.T.tolist()))
+        _assert_same_bits(lll_reduce(basis), general)
 
 
 def _mirror(v):
