@@ -78,7 +78,6 @@ def test_golden_json_outputs_parse():
         ["nonsense"],
         [],
         ["equidist", "--form", SQF2, "--T", "5", "--N", "0"],
-        ["equidist", "--form", SQF2, "--T", "1e20", "--N", "10"],  # transform beyond int64
         ["count", "--form", "[1,-1,-1]", "--a", "2", "--b", "1", "--T", "10"],
         ["count", "--form", "[1,-1,-1]", "--a", "0", "--b", "1", "--T", ""],
         ["cq", "--form", "[1,-1,0]"],  # degenerate form
@@ -97,6 +96,7 @@ def test_golden_json_outputs_parse():
             "--r-count", "3",
         ],
         ["margulis", "--theta", "[[NaN,0,0,0,0],[0.01,0,0,0,0]]"],
+        ["equidist", "--form", SQF2, "--T", "1e20", "--N", "10"],  # transform beyond int64
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
