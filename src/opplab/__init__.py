@@ -15,7 +15,24 @@ thread pool of the projection survey (projection_survey), the only step
 that runs on one; it trades wall time only.  The Monte Carlo counting
 constant (main_term_constant), lattice reduction, the Siegel samples and
 the truncated-energy transports (improvement_step_sim) run serially.
+
+Importing opplab before numpy pins OpenBLAS to one thread, unless one of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is already set:
+no opplab step gains from BLAS threads, and the idle pool OpenBLAS starts
+otherwise costs each process CPU time.  If numpy is already loaded, the
+environment is left alone.
 """
+
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it, and its worker
+# threads spin on CPU time that no opplab BLAS call repays.  A user's own
+# setting wins, and a process that has already loaded numpy is not touched.
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .approx import (
     ApproxResult,

@@ -15,7 +15,11 @@ and yet witness coverage fell below the configured floor).
 The OPPLAB_THREADS environment variable caps the worker threads of the
 projection sweep, the only step that runs on a thread pool; it changes
 wall time only, never output bytes.  Every subcommand rejects a value that
-is not a positive integer with exit 1.
+is not a positive integer with exit 1.  Both ``python -m opplab`` and the
+``opplab`` script import the package first, which pins OpenBLAS to one
+thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
+set: no subcommand gains from BLAS threads, and their idle pool costs CPU
+time in every process.
 """
 
 from __future__ import annotations

@@ -187,7 +187,9 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     transform integral unimodular (float64 and int64 arrays).  The
     iteration count is capped; hitting the cap leaves a partially reduced
     basis, which only costs enumeration speed, never correctness.  A
-    transform entry beyond the int64 range raises CapacityExceeded.
+    transform entry beyond the int64 range raises CapacityExceeded, and so
+    does a reduction that fails because a squared column norm is not
+    finite in float64 (an entry past about 1e154).
 
     A 3x3 basis runs the unrolled body ``_lll_3d``; any other size runs
     ``_lll_general``, whose one caller is the 7-D candidate lattice of
@@ -202,7 +204,16 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     if abs(np.linalg.det(B)) == 0.0:
         raise ValueError("basis is singular")
     body = _lll_3d if B.shape[1] == 3 else _lll_general
-    return _reduced_arrays(*body(B.T.tolist()))
+    try:
+        return _reduced_arrays(*body(B.T.tolist()))
+    except (ValueError, OverflowError):
+        # round() met a NaN or infinite mu.  A basis whose squared norms
+        # overflow may still reduce, and then returns as before.
+        if all(math.isfinite(_dot(c, c)) for c in B.T.tolist()):
+            raise
+        raise CapacityExceeded(
+            "basis is too large to reduce in float64: a squared column norm is not finite"
+        ) from None
 
 
 def _basis3(basis) -> np.ndarray:

@@ -21,7 +21,11 @@ U = TypeVar("U")
 
 
 def worker_count() -> int:
-    """Number of worker threads, from OPPLAB_THREADS or the CPU count."""
+    """Number of worker threads: OPPLAB_THREADS, or the CPUs this process may run on.
+
+    The usable CPUs are the process's affinity set where the platform has
+    one (a process pinned to one core gets one thread), else the CPU count.
+    """
     raw = os.environ.get("OPPLAB_THREADS")
     if raw is not None:
         try:
@@ -31,6 +35,8 @@ def worker_count() -> int:
         if n < 1:
             raise ValueError(f"OPPLAB_THREADS must be >= 1, got {n}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -3,15 +3,21 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import opplab
+from opplab import util
 from opplab.cli import ExperimentConfig, _float_list, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 SQF2 = "[1,-1,-1.4142135623730951]"
+#: sample bases at these T have squared column norms past the float64 range
+HUGE_T = ("1e160", "1e300")
 
 GOLDEN_CASES = {
     "witness.csv": [
@@ -97,12 +103,15 @@ def test_golden_json_outputs_parse():
         ],
         ["margulis", "--theta", "[[NaN,0,0,0,0],[0.01,0,0,0,0]]"],
         ["equidist", "--form", SQF2, "--T", "1e20", "--N", "10"],  # transform beyond int64
+        *(["equidist", "--form", SQF2, "--T", t, "--N", "10"] for t in HUGE_T),  # norms beyond float64
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    if argv[:1] == ["equidist"] and argv[4] in HUGE_T:
+        assert "too large to reduce in float64" in captured.err
 
 
 def test_low_witness_coverage_exits_2(capsys):
@@ -218,6 +227,88 @@ def test_thread_count_does_not_change_output(name, monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == single
     assert single == (GOLDEN / name).read_text()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_env(**preset: str) -> dict:
+    """The test's environment with opplab importable, no BLAS thread variable but ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(opplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(preset)
+    return env
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+@pytest.mark.parametrize("name", ["equidist.csv", "projection.csv", "margulis.json"])
+def test_blas_thread_count_does_not_change_output(name, blas_threads):
+    # these goldens reach BLAS or LAPACK; a fresh process reads the setting when numpy loads
+    proc = subprocess.run(
+        [sys.executable, "-m", "opplab", *GOLDEN_CASES[name]],
+        capture_output=True, env=_fresh_env(OPENBLAS_NUM_THREADS=blas_threads), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+_PIN_PROBE = """
+import json, os
+{first}
+before = dict(os.environ)
+import opplab
+print(json.dumps({{
+    "threads": len(os.listdir("/proc/self/task")),
+    "env": {{k: os.environ.get(k) for k in {names!r}}},
+    "unchanged": dict(os.environ) == before,
+}}))
+"""
+
+needs_task_list = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counting OS threads needs /proc/self/task"
+)
+
+
+def _probe_pin(first: str = "", **preset: str) -> dict:
+    """Import opplab in a fresh process (after ``first``); report its threads and BLAS variables."""
+    code = _PIN_PROBE.format(first=first, names=BLAS_THREAD_VARS)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=_fresh_env(**preset), timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+@needs_task_list
+def test_import_pins_openblas_to_one_thread():
+    got = _probe_pin()
+    assert got["threads"] == 1
+    assert got["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@needs_task_list
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_import_keeps_a_preset_blas_thread_count(var):
+    got = _probe_pin(**{var: "2"})
+    assert got["unchanged"]
+    assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
+
+
+@needs_task_list
+def test_import_after_numpy_leaves_the_environment_alone():
+    got = _probe_pin(first="import numpy")
+    assert got["unchanged"]
+    assert got["env"]["OPENBLAS_NUM_THREADS"] is None
+
+
+def test_default_pool_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("OPPLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert util.worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert util.worker_count() == 8
 
 
 def test_invalid_thread_count_exits_1(monkeypatch, capsys):
