@@ -13,13 +13,13 @@ reused), so both sides run their committed files with their own copy of
 pairs and the change first in odd ones.  ``--trace-seed S`` adds one
 ``--trace 1`` run per side.
 
-``--out`` is updated in place: the entry of this workload is replaced and
-the other workloads are kept, so one file collects several invocations
-(the commits must match).  Per metric it holds each side's median and
-quartiles (statistics.quantiles, inclusive), ``change_vs_parent`` (the
-ratio of the medians, minus 1), ``pairs_change_lower`` and
-``median_pair_ratio`` (the median of change/parent over the pairs), and
-every pair's values.  ``--claim METRIC`` also records whether the change's
+``--out`` is updated in place, so one file collects several invocations
+(the commits must match): a workload run again gets a new entry, and its
+earlier entries move to the new one's ``earlier_runs``.  Per metric an
+entry holds each side's median and quartiles (statistics.quantiles,
+inclusive), ``change_vs_parent`` (the ratio of the medians, minus 1),
+``pairs_change_lower`` and ``median_pair_ratio`` (the median of
+change/parent over the pairs), and every pair's values.  ``--claim METRIC`` also records whether the change's
 gain on METRIC meets the rule the benchmark's gains are judged by: lower
 in at least nine tenths of the pairs, and medians apart by more than the
 distance between the parent's quartiles.  Every end-to-end metric of this
@@ -175,7 +175,10 @@ def main() -> int:
     if args.claim:
         record["claim"] = {"workload": args.workload, "metric": args.claim, "seeds": args.seeds,
                            **claim_verdict(metrics[args.claim], len(pairs))}
-    record.setdefault("workloads", {})[args.workload] = entry
+    prior = record.setdefault("workloads", {}).get(args.workload)
+    if prior:
+        entry["earlier_runs"] = prior.pop("earlier_runs", []) + [prior]
+    record["workloads"][args.workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}: {args.workload}, {len(pairs)} pairs, failed {failed}")
     return 1 if any(failed.values()) else 0

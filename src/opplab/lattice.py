@@ -205,7 +205,7 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("basis is singular")
     body = _lll_3d if B.shape[1] == 3 else _lll_general
     try:
-        return _reduced_arrays(*body(B.T.tolist()))
+        cols, U = body(B.T.tolist())
     except (ValueError, OverflowError):
         # round() met a NaN or infinite mu.  A basis whose squared norms
         # overflow may still reduce, and then returns as before.
@@ -214,6 +214,7 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
         raise CapacityExceeded(
             "basis is too large to reduce in float64: a squared column norm is not finite"
         ) from None
+    return _reduced_arrays(cols, U)
 
 
 def _basis3(basis) -> np.ndarray:

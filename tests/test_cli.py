@@ -254,15 +254,14 @@ def test_blas_thread_count_does_not_change_output(name, blas_threads):
 
 
 _PIN_PROBE = """
-import json, os
-{first}
+import json, os, sys
 before = dict(os.environ)
 import opplab
-print(json.dumps({{
+print(json.dumps({
     "threads": len(os.listdir("/proc/self/task")),
-    "env": {{k: os.environ.get(k) for k in {names!r}}},
+    "env": {k: os.environ.get(k) for k in sys.argv[1:]},
     "unchanged": dict(os.environ) == before,
-}}))
+}))
 """
 
 needs_task_list = pytest.mark.skipif(
@@ -272,10 +271,9 @@ needs_task_list = pytest.mark.skipif(
 
 def _probe_pin(first: str = "", **preset: str) -> dict:
     """Import opplab in a fresh process (after ``first``); report its threads and BLAS variables."""
-    code = _PIN_PROBE.format(first=first, names=BLAS_THREAD_VARS)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=_fresh_env(**preset), timeout=120,
+        [sys.executable, "-c", first + _PIN_PROBE, *BLAS_THREAD_VARS], capture_output=True, text=True,
+        check=True, env=_fresh_env(**preset), timeout=120,
     )
     return json.loads(proc.stdout)
 
