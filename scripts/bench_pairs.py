@@ -2,16 +2,17 @@
 
 Usage:
   python3 scripts/bench_pairs.py --parent REV --change REV --workload W \\
-      --seeds 1001-1010 --out BENCH_13.json [--seconds 30] [--trace-seed S] \\
-      [--claim METRIC] [--title TEXT] [--workdir DIR]
+      --seeds 1001-1010 --out BENCH_13.json [--trace-seed S] [--claim METRIC] \\
+      [--workdir DIR]
 
 Each side runs from its own clone of this repository at its commit, made
 under ``--workdir`` with ``git clone`` (a clone already at that commit is
 reused), so both sides run their committed files with their own copy of
-``perfbench/``.  Pair i runs ``python3 perfbench/run.py --workload W --seed S
---seconds T`` in both clones, one seed per pair, the parent first in even
-pairs and the change first in odd ones.  ``--trace-seed S`` adds one
-``--trace 1`` run per side.
+``perfbench/``.  Pair i runs ``python3 perfbench/run.py --workload W --seed S``
+(run.py's own run length) in both clones, one seed per pair, the parent
+first in even pairs and the change first in odd ones.  ``--trace-seed S``
+adds one ``--trace 1`` run per side.  The file's ``change`` line is the
+subject of the change commit.
 
 ``--out`` is updated in place, so one file collects several invocations
 (the commits must match): a workload run again gets a new entry, and its
@@ -19,10 +20,12 @@ earlier entries move to the new one's ``earlier_runs``.  Per metric an
 entry holds each side's median and quartiles (statistics.quantiles,
 inclusive), ``change_vs_parent`` (the ratio of the medians, minus 1),
 ``pairs_change_lower`` and ``median_pair_ratio`` (the median of
-change/parent over the pairs), and every pair's values.  ``--claim METRIC`` also records whether the change's
-gain on METRIC meets the rule the benchmark's gains are judged by: lower
-in at least nine tenths of the pairs, and medians apart by more than the
-distance between the parent's quartiles.  Every end-to-end metric of this
+change/parent over the pairs), and every pair's values.  ``--claim METRIC``
+adds the entry's ``claim``: whether the change's gain on METRIC is "met" or
+"not met" by the rule the benchmark's gains are judged by (lower in at
+least nine tenths of the pairs, and medians apart by more than the
+distance between the parent's quartiles).  The verdict stays with its
+entry, so an earlier run keeps its own.  Every end-to-end metric of this
 benchmark is better lower.
 """
 
@@ -60,11 +63,11 @@ def checkout(rev: str, workdir: Path) -> tuple[str, Path]:
     return sha, path
 
 
-def run_bench(clone: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(clone: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """Run perfbench/run.py in ``clone``; return (its JSON result, its environment line)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=clone, capture_output=True, text=True, timeout=seconds + 600)
+            "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=clone, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(argv)} in {clone} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -96,17 +99,19 @@ def compare(pairs: list[dict], metric: str) -> dict:
     return out
 
 
-def claim_verdict(stats: dict, pairs: int) -> dict:
+def claim_verdict(metric: str, stats: dict, pairs: int) -> dict:
     parent = stats["parent"]
     spread = parent["q3"] - parent["q1"]
     gain = parent["median"] - stats["change"]["median"]
     wins_needed = math.ceil(0.9 * pairs)
+    met = stats["pairs_change_lower"] >= wins_needed and gain > spread
     return {
+        "metric": metric,
         "pairs_change_lower": stats["pairs_change_lower"],
         "pairs_needed": wins_needed,
         "median_gain": gain,
         "parent_quartile_spread": spread,
-        "holds": stats["pairs_change_lower"] >= wins_needed and gain > spread,
+        "verdict": "met" if met else "not met",
     }
 
 
@@ -117,10 +122,8 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="one seed per pair, e.g. 1001-1010")
     ap.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to create or update")
-    ap.add_argument("--seconds", type=float, default=30.0, help="run length passed to run.py")
     ap.add_argument("--trace-seed", type=int, help="also run --trace 1 on both sides with this seed")
-    ap.add_argument("--claim", metavar="METRIC", help="record whether the gain on METRIC holds")
-    ap.add_argument("--title", help="one line naming the change (kept from --out when omitted)")
+    ap.add_argument("--claim", metavar="METRIC", help="record whether the gain on METRIC is met")
     ap.add_argument("--workdir", type=Path, default=Path(tempfile.gettempdir()) / "opplab-bench-pairs",
                     help="where the clones live")
     args = ap.parse_args()
@@ -139,7 +142,7 @@ def main() -> int:
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed, "first": SIDES[i % 2]}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result, env = run_bench(clones[side][1], args.workload, seed, args.seconds, 0)
+            result, env = run_bench(clones[side][1], args.workload, seed, 0)
             attempted[side] += result["attempted"]
             failed[side] += result["failed"]
             pair[side] = {k: v["value"] for k, v in result["metrics"].items()}
@@ -150,20 +153,22 @@ def main() -> int:
     metrics = {m: compare(pairs, m) for m in pairs[0]["parent"]}
     entry = {"seeds": args.seeds, "pairs": len(pairs), "attempted": attempted, "failed": failed,
              "metrics": metrics, "per_pair": pairs}
+    if args.claim:
+        entry["claim"] = claim_verdict(args.claim, metrics[args.claim], len(pairs))
     if args.trace_seed is not None:
         traced = {}
         for side in SIDES:
-            result, _ = run_bench(clones[side][1], args.workload, args.trace_seed, args.seconds, 1)
+            result, _ = run_bench(clones[side][1], args.workload, args.trace_seed, 1)
             traced[side] = {"correct": result["correct"], "failed": result["failed"],
                             **{k: v["value"] for k, v in result["metrics"].items()}}
         entry[f"trace_seed_{args.trace_seed}"] = traced
 
     record.update({
-        "change": args.title or record.get("change", ""),
+        "change": git("log", "-1", "--format=%s", shas["change"]),
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} (tracing off); --trace 1 for the traced runs",
+        "command": "python3 perfbench/run.py --workload W --seed S (run.py's default run length, "
+                   "tracing off); --trace 1 for the traced runs",
         "method": "alternating pairs: clones of the parent and the change run one after the other, "
                   "the parent first in even pairs, one seed per pair; medians and quartiles "
                   "(statistics.quantiles, inclusive) over the pairs of each side; pairs_change_lower "
@@ -172,9 +177,6 @@ def main() -> int:
         "environment": {**{k: env.get(k) for k in ENV_FIELDS},
                         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
     })
-    if args.claim:
-        record["claim"] = {"workload": args.workload, "metric": args.claim, "seeds": args.seeds,
-                           **claim_verdict(metrics[args.claim], len(pairs))}
     prior = record.setdefault("workloads", {}).get(args.workload)
     if prior:
         entry["earlier_runs"] = prior.pop("earlier_runs", []) + [prior]

@@ -19,8 +19,9 @@ the truncated-energy transports (improvement_step_sim) run serially.
 Importing opplab before numpy pins OpenBLAS to one thread, unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is already set:
 no opplab step gains from BLAS threads, and the idle pool OpenBLAS starts
-otherwise costs each process CPU time.  If numpy is already loaded, the
-environment is left alone.
+otherwise costs each process CPU time.  The variable is set only while
+numpy loads and removed again, so child processes do not inherit the pin.
+If numpy is already loaded, the environment is left alone.
 """
 
 import os
@@ -29,9 +30,10 @@ import sys
 # OpenBLAS reads its thread count once, when numpy loads it, and its worker
 # threads spin on CPU time that no opplab BLAS call repays.  A user's own
 # setting wins, and a process that has already loaded numpy is not touched.
-if "numpy" not in sys.modules and not any(
+_pin_blas = "numpy" not in sys.modules and not any(
     v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
+)
+if _pin_blas:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .approx import (
@@ -108,6 +110,10 @@ from .projection import (
 )
 
 __version__ = "0.1.0"
+
+if _pin_blas:
+    # every submodule has loaded numpy by now; keep the pin inside this process
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "ApproxResult",

@@ -19,7 +19,7 @@ is not a positive integer with exit 1.  Both ``python -m opplab`` and the
 ``opplab`` script import the package first, which pins OpenBLAS to one
 thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
 set: no subcommand gains from BLAS threads, and their idle pool costs CPU
-time in every process.
+time in every process.  The pin does not reach child processes.
 """
 
 from __future__ import annotations

@@ -189,7 +189,8 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     basis, which only costs enumeration speed, never correctness.  A
     transform entry beyond the int64 range raises CapacityExceeded, and so
     does a reduction that fails because a squared column norm is not
-    finite in float64 (an entry past about 1e154).
+    finite in float64 (an entry past about 1e154).  A reduction that fails
+    on a NaN or infinite entry raises ValueError.
 
     A 3x3 basis runs the unrolled body ``_lll_3d``; any other size runs
     ``_lll_general``, whose one caller is the 7-D candidate lattice of
@@ -209,6 +210,8 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     except (ValueError, OverflowError):
         # round() met a NaN or infinite mu.  A basis whose squared norms
         # overflow may still reduce, and then returns as before.
+        if not np.isfinite(B).all():
+            raise ValueError("basis has a non-finite entry") from None
         if all(math.isfinite(_dot(c, c)) for c in B.T.tolist()):
             raise
         raise CapacityExceeded(

@@ -257,6 +257,8 @@ _PIN_PROBE = """
 import json, os, sys
 before = dict(os.environ)
 import opplab
+import numpy
+numpy.ones((256, 256)) @ numpy.ones((256, 256))  # a BLAS call after the import
 print(json.dumps({
     "threads": len(os.listdir("/proc/self/task")),
     "env": {k: os.environ.get(k) for k in sys.argv[1:]},
@@ -280,9 +282,10 @@ def _probe_pin(first: str = "", **preset: str) -> dict:
 
 @needs_task_list
 def test_import_pins_openblas_to_one_thread():
+    # the variable is set only while numpy loads, so child processes do not inherit it
     got = _probe_pin()
     assert got["threads"] == 1
-    assert got["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert got["unchanged"]
 
 
 @needs_task_list

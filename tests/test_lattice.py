@@ -72,6 +72,16 @@ def test_lll_singular_raises():
         lll_reduce(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("n", [3, 7])
+def test_lll_non_finite_entry_raises_value_error(n, bad):
+    # the determinant is NaN or inf, not 0, so the entry reaches the LLL body
+    basis = np.eye(n)
+    basis[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        lll_reduce(basis)
+
+
 def test_enumerate_ball_matches_brute_box():
     rng = np.random.default_rng(23)
     for _ in range(15):
