@@ -35,9 +35,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_CEILING, WitnessTable, witness_table
-from .errors import CapacityExceeded, NoCandidate
-from .forms import NormalizedForm, TernaryForm, normalize
+from .enumeration import WitnessTable, witness_table
+from .errors import NoCandidate, _Capacity
+from .forms import NormalizedForm, as_form, normalize
 from .lattice import lll_reduce
 
 EXHAUSTIVE_LIMIT = 12
@@ -101,13 +101,6 @@ class ApproxResult:
             "bound": self.bound,
             "certified": self.certified,
         }
-
-
-def _as_entries(q) -> tuple[float, ...]:
-    form = q.form if isinstance(q, NormalizedForm) else q
-    if not isinstance(form, TernaryForm):
-        raise TypeError(f"expected TernaryForm or NormalizedForm, got {type(q).__name__}")
-    return form.entries
 
 
 # rows of one scored tile: bounds the length of every scoring temporary
@@ -233,13 +226,10 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
     # ulps of the largest |q_i|; the pad is far above that, so no form that
     # scores at most the incumbent is pruned
     d = incumbent + 1e-9 * (incumbent + float(np.max(np.abs(q6))))
-    total = 0
+    # every box is charged to the work ceiling before any tile is built
+    tally = _Capacity(f"candidates of the certified search at R={r}")
     for ranges in _search_boxes(q6, r, d):
-        total += math.prod(hi - lo + 1 for lo, hi in ranges)
-        if total > DEFAULT_CEILING:
-            raise CapacityExceeded(
-                f"certified search at R={r} would score over {DEFAULT_CEILING} candidates"
-            )
+        tally.add(math.prod(hi - lo + 1 for lo, hi in ranges))
     best: Optional[tuple[float, tuple[int, ...]]] = None
     for ranges in _search_boxes(q6, r, d):
         for m in _box_tiles(ranges):
@@ -294,7 +284,7 @@ def best_rational_approx(
     """
     if not 1 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 1, got {R}")
-    q6 = np.asarray(_as_entries(q), dtype=float)
+    q6 = np.asarray(as_form(q).entries, dtype=float)
     r = int(math.floor(R))
     if r <= exhaustive_limit:
         qprime = _exhaustive_search(q6, r)
@@ -369,7 +359,6 @@ def dichotomy_report(
     grid_step: float = 0.1,
     a_exp: float = 4.0,
     k_exp: float = 0.125,
-    ceiling: Optional[int] = DEFAULT_CEILING,
 ) -> DichotomyOutcome:
     """Decide which side of the witness-or-rational dichotomy the form is on.
 
@@ -401,9 +390,9 @@ def dichotomy_report(
     if approx.dist <= threshold:
         return DichotomyOutcome(branch="rational_approx", thresholds=thresholds, approx=approx)
     if 2.0 * span < grid_step:
-        table = witness_table(qn, 0.0, 0.0, grid_step, eps_eff, T, ceiling=ceiling)
+        table = witness_table(qn, 0.0, 0.0, grid_step, eps_eff, T)
     else:
-        table = witness_table(qn, -span, span, grid_step, eps_eff, T, ceiling=ceiling)
+        table = witness_table(qn, -span, span, grid_step, eps_eff, T)
     summary = WitnessSummary(
         targets=len(table.targets),
         witnessed=table.witnessed,

@@ -419,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OppLabError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (OppLabError, ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,10 @@ consumers share it:
   window spanned by the targets, keep the canonical primitive hits, and
   pick the minimal one for each target.
 
+Each call of a consumer charges its scanned pairs and candidates to one
+tally against the package's work ceiling (errors.DEFAULT_CEILING); no
+entry point takes a ceiling of its own.
+
 main_term_constant estimates the coarea constant
 
     C_Q = lim vol{v in B(0,1): |Q(v)| <= delta} / (2*delta)
@@ -50,16 +54,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CapacityExceeded, DefiniteForm
-from .forms import NormalizedForm, TernaryForm
+from .errors import DefiniteForm, _Capacity
+from .forms import TernaryForm, as_form
 from .util import chunk_sizes, spawn_rngs, uniform_ball, weighted_mean_stderr
 
-#: Hard ceiling on the work of one enumeration (spec default): the (u, v)
-#: pairs every _window_hits pass scans plus the candidate vectors it
-#: evaluates, summed over the passes of one call.  Each pass charges its
+#: What one call charges to the work ceiling (errors.DEFAULT_CEILING): the
+#: (u, v) pairs every _window_hits pass scans plus the candidate vectors it
+#: evaluates, summed over the passes of the call.  Each pass charges its
 #: whole disc before its first block, so a T too large for the ceiling
 #: raises at once instead of after the scan.
-DEFAULT_CEILING = 10**9
+_WORK = "scanned pairs and candidates of the window enumeration"
 
 #: Most (u, v) pairs in one block of _window_hits (a row longer than this is
 #: a block of its own): nine 64 KiB scratch rows that stay cache-resident
@@ -75,30 +79,6 @@ _SQRT2 = math.sqrt(2.0)
 
 WITNESS_CSV_HEADER = ("s", "v1", "v2", "v3", "value", "gap", "norm")
 COUNT_CSV_HEADER = ("T", "count", "c_q", "main_term", "ratio", "degenerate_window")
-
-
-def _as_form(q) -> TernaryForm:
-    if isinstance(q, NormalizedForm):
-        return q.form
-    if isinstance(q, TernaryForm):
-        return q
-    raise TypeError(f"expected TernaryForm or NormalizedForm, got {type(q).__name__}")
-
-
-class _Capacity:
-    """Running tally of scanned pairs and candidates against a hard ceiling."""
-
-    def __init__(self, ceiling: Optional[int]):
-        self.ceiling = ceiling
-        self.used = 0
-
-    def add(self, n: int) -> None:
-        self.used += int(n)
-        if self.ceiling is not None and self.used > self.ceiling:
-            raise CapacityExceeded(
-                f"enumeration needs {self.used} scanned pairs and candidates, "
-                f"over the ceiling {self.ceiling}"
-            )
 
 
 def _ragged_aranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,13 +169,7 @@ def _grid(s_min: float, s_max: float, step: float) -> list[float]:
 
 
 def witness_table(
-    q,
-    s_min: float,
-    s_max: float,
-    step: float,
-    eps: float,
-    T: float,
-    ceiling: Optional[int] = DEFAULT_CEILING,
+    q, s_min: float, s_max: float, step: float, eps: float, T: float
 ) -> WitnessTable:
     """Minimal-norm primitive witnesses |Q(v) - s| <= eps for a grid of s.
 
@@ -208,7 +182,7 @@ def witness_table(
     as soon as every target is witnessed, so easy targets never pay for the
     full ball of radius T.
     """
-    form = _as_form(q)
+    form = as_form(q)
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     if not 0 < eps < math.inf:
@@ -222,7 +196,7 @@ def witness_table(
     # a superset of every target's window; |Q(v) - s| <= eps decides below
     pad = eps * 1e-9 + 1e-300
     win_lo, win_hi = targets[0] - eps - pad, targets[-1] + eps + pad
-    counter = _Capacity(ceiling)
+    counter = _Capacity(_WORK)
 
     for lo2, hi2 in _shell_windows(T):
         blocks = list(_window_hits(form, win_lo, win_hi, hi2, counter))
@@ -256,11 +230,9 @@ def witness_table(
     return WitnessTable(targets=targets, records=records, eps=eps, T=T)
 
 
-def find_witness(
-    q, s: float, eps: float, T: float, ceiling: Optional[int] = DEFAULT_CEILING
-) -> Optional[WitnessRecord]:
+def find_witness(q, s: float, eps: float, T: float) -> Optional[WitnessRecord]:
     """Minimal-norm primitive v with |Q(v) - s| <= eps and |v| <= T, if any."""
-    table = witness_table(q, s, s, 1.0, eps, T, ceiling=ceiling)
+    table = witness_table(q, s, s, 1.0, eps, T)
     return table.records[0]
 
 
@@ -497,9 +469,7 @@ def _ladder_counts(
     return [int(totals[np.searchsorted(levels, t2)]) for t2 in T2s]
 
 
-def count_values(
-    q, a: float, b: float, T: float, ceiling: Optional[int] = DEFAULT_CEILING
-) -> int:
+def count_values(q, a: float, b: float, T: float) -> int:
     """#{v integer, v != 0, |v| <= T, a <= Q(v) <= b}, exactly.
 
     Both signs and imprimitive vectors are counted; only v = 0 is excluded.
@@ -509,10 +479,10 @@ def count_values(
     charged before the scan they pay for, so a T whose disc alone is over
     the ceiling raises at once.
     """
-    form = _as_form(q)
+    form = as_form(q)
     T = float(T)
     _check_count_args(a, b, [T])
-    return _ladder_counts(_window_hits(form, a, b, T * T, _Capacity(ceiling)), [T])[0]
+    return _ladder_counts(_window_hits(form, a, b, T * T, _Capacity(_WORK)), [T])[0]
 
 
 def main_term_constant(
@@ -528,7 +498,7 @@ def main_term_constant(
     O(delta^(3/2)).  Returns (estimate, standard error), the latter from the
     spread of independent seeded chunks.
     """
-    form = _as_form(q)
+    form = as_form(q)
     if not 0 < delta <= 0.1:
         raise ValueError(f"delta must be in (0, 0.1], got {delta}")
     if samples < 10_000:
@@ -594,7 +564,6 @@ def count_vs_main_term(
     delta: float = 0.05,
     samples: int = 1_000_000,
     seed: int = 0,
-    ceiling: Optional[int] = DEFAULT_CEILING,
 ) -> list[CountReport]:
     """Exact counts against the main term C_Q (b-a) T for each T.
 
@@ -605,10 +574,10 @@ def count_vs_main_term(
     window with b = a has main term zero; its report is flagged degenerate
     and carries no ratio.
     """
-    form = _as_form(q)
+    form = as_form(q)
     T_list = [float(T) for T in T_list]
     _check_count_args(a, b, T_list)
-    blocks = _window_hits(form, a, b, max(T * T for T in T_list), _Capacity(ceiling))
+    blocks = _window_hits(form, a, b, max(T * T for T in T_list), _Capacity(_WORK))
     c_q, stderr = main_term_constant(q, delta=delta, samples=samples, seed=seed)
     counts = _ladder_counts(blocks, T_list)
     reports = []

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one work ceiling.
+
+Every kernel whose work grows with its input charges that work to a
+``_Capacity`` tally: the window enumeration its scanned pairs and
+candidates (per call), the certified approximation search its candidates
+(per search), a ball walk its coefficient slots (per walk, counted only
+when the walk's box could pass the ceiling) and the pairwise kernel the
+pairs of a configuration.  All of them stop at ``DEFAULT_CEILING``.
+"""
+
+#: Hard ceiling on the work of one kernel call (spec default).  A tally
+#: reads it when the tally is made, so setting this attribute changes the
+#: limit of every kernel.
+DEFAULT_CEILING = 10**9
 
 
 class OppLabError(Exception):
@@ -18,7 +31,7 @@ class SignatureMismatch(OppLabError):
 
 
 class CapacityExceeded(OppLabError):
-    """An enumeration would touch more lattice points than the configured ceiling."""
+    """A kernel would do more work than the ceiling allows."""
 
 
 class NoCandidate(OppLabError):
@@ -27,3 +40,19 @@ class NoCandidate(OppLabError):
 
 class EmptyConfig(OppLabError):
     """A finite point configuration with zero points was passed where mass is required."""
+
+
+class _Capacity:
+    """Running tally of one kernel's work, in units named by ``label``, against the ceiling."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.ceiling = DEFAULT_CEILING
+        self.used = 0
+
+    def add(self, n: int) -> None:
+        self.used += int(n)
+        if self.used > self.ceiling:
+            raise CapacityExceeded(
+                f"{self.used} {self.label} exceed the ceiling of {self.ceiling}"
+            )

@@ -36,13 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .enumeration import DEFAULT_CEILING
 from .errors import SignatureMismatch
-from .forms import REFERENCE_FORM, NormalizedForm, TernaryForm, normalize
+from .forms import REFERENCE_FORM, as_form, normalize
 from .lattice import _Frame, lll_reduce
 
 _DET_TOL = 1e-10
@@ -156,9 +154,7 @@ def form_to_basepoint(q) -> Basepoint:
     Q(v) = eps * ref(g v); eps is +1 exactly when det Q = -1 (the reference
     form's own class).
     """
-    form = q.form if isinstance(q, NormalizedForm) else q
-    if not isinstance(form, TernaryForm):
-        raise TypeError(f"expected TernaryForm or NormalizedForm, got {type(q).__name__}")
+    form = as_form(q)
     m = form.matrix
     det = float(np.linalg.det(m))
     if abs(abs(det) - 1.0) > 1e-6:
@@ -253,9 +249,7 @@ class EquidistReport:
         }
 
 
-def _siegel_sample(
-    basis: np.ndarray, f_radius: float, ceiling: Optional[int]
-) -> tuple[float, float]:
+def _siegel_sample(basis: np.ndarray, f_radius: float) -> tuple[float, float]:
     """(Siegel transform of the bump, shortest vector length) at one lattice.
 
     One reduction and one walk of the bump ball.  The bump values are summed
@@ -266,22 +260,17 @@ def _siegel_sample(
     frame.
     """
     frame = _Frame(*lll_reduce(basis))
-    _, norms2 = frame.walk(f_radius, ceiling=ceiling)
+    _, norms2 = frame.walk(f_radius)
     total = 0.0
     for n2 in norms2:  # not sum(): from Python 3.12 it compensates float sums
         total += _bump(math.sqrt(n2) / f_radius)
     if not norms2:
-        _, norms2 = frame.walk(frame.shortest_radius(), ceiling=ceiling)
+        _, norms2 = frame.walk(frame.shortest_radius())
     return total, math.sqrt(min(norms2))
 
 
 def siegel_average(
-    f_radius: float,
-    x0: LatticePoint,
-    T: float,
-    N: int,
-    seed: int = 0,
-    ceiling: Optional[int] = DEFAULT_CEILING,
+    f_radius: float, x0: LatticePoint, T: float, N: int, seed: int = 0
 ) -> EquidistReport:
     """Average the bump's Siegel transform over the expanding circle at time log T.
 
@@ -301,7 +290,7 @@ def siegel_average(
     rs = (np.arange(N) + rng.random(N)) / N
     a_mat = flow_a(math.log(T)).mat
 
-    results = [_siegel_sample(a_mat @ flow_u(r).mat @ x0.basis, f_radius, ceiling) for r in rs]
+    results = [_siegel_sample(a_mat @ flow_u(r).mat @ x0.basis, f_radius) for r in rs]
     empirical = math.fsum(f for f, _ in results) / N
     min_inj = min(l for _, l in results)
     haar = bump_mass(f_radius)
@@ -316,21 +305,14 @@ def siegel_average(
     )
 
 
-def discrepancy_scan(
-    q,
-    T_list,
-    N: int,
-    f_radius: float,
-    seed: int = 0,
-    ceiling: Optional[int] = DEFAULT_CEILING,
-) -> list[EquidistReport]:
+def discrepancy_scan(q, T_list, N: int, f_radius: float, seed: int = 0) -> list[EquidistReport]:
     """Siegel averages at each T from the basepoint of the given form.
 
     The same seed (hence the same jittered sample offsets) is reused at
     every T so the T-trend is not confounded by resampling noise.
     """
-    form = q.form if isinstance(q, NormalizedForm) else q
+    form = as_form(q)
     if abs(abs(form.determinant()) - 1.0) > 1e-8:
         form = normalize(form).form
     base = form_to_basepoint(form)
-    return [siegel_average(f_radius, base.x0, T, N, seed, ceiling=ceiling) for T in T_list]
+    return [siegel_average(f_radius, base.x0, T, N, seed) for T in T_list]

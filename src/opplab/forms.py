@@ -167,6 +167,15 @@ class NormalizedForm:
     scale: float
 
 
+def as_form(q) -> TernaryForm:
+    """The TernaryForm of ``q``: a NormalizedForm's form, or ``q`` itself."""
+    if isinstance(q, NormalizedForm):
+        return q.form
+    if isinstance(q, TernaryForm):
+        return q
+    raise TypeError(f"expected TernaryForm or NormalizedForm, got {type(q).__name__}")
+
+
 def normalize(form: TernaryForm) -> NormalizedForm:
     """Rescale an indefinite nondegenerate form to determinant +1.
 

@@ -35,7 +35,7 @@ from array import array
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, _Capacity
 
 _MAX_LLL_ITER = 10_000
 
@@ -320,30 +320,27 @@ class _Frame:
                 if hi0 >= lo0:
                     yield m1, m2, lo0, hi0
 
-    def walk(self, radius: float, *, ceiling: int | None = None) -> tuple[array, array]:
+    def walk(self, radius: float) -> tuple[array, array]:
         """Reduced coefficients and squared norms of the nonzero lattice points in the ball.
 
         Returns (coefficients, norms2): flat ``array('q')`` triples
         (m0, m1, m2) with respect to the reduced columns and an
         ``array('d')``, both in walk order (m2, then m1, then m0
         ascending).  Only points that pass the norm filter are stored.
-        ``ceiling`` bounds the coefficient slots the walk visits: when the
-        traversal's box could exceed it, the slots are counted, without
-        storing anything, before the walk.
+        The coefficient slots the walk visits are charged to the work
+        ceiling: when the traversal's box could pass it, the slots are
+        counted, without storing anything, before the walk, so a ball too
+        large for the ceiling raises CapacityExceeded before it stores a
+        point.
         """
         r2 = radius * radius * (1.0 + 1e-12) + 1e-300
         r2_trav = r2 * (1.0 + self.widen)
-        if ceiling is not None:
-            s2 = 2.0 * math.sqrt(r2_trav)
-            box = (s2 / self.r00 + 2.0) * (s2 / self.r11 + 2.0) * (s2 / self.r22 + 2.0)
-            if box > ceiling:
-                visited = 0
-                for _, _, lo0, hi0 in self._rows(r2_trav):
-                    visited += hi0 - lo0 + 1
-                    if visited > ceiling:
-                        raise CapacityExceeded(
-                            f"ball enumeration visited more than {ceiling} coefficient slots"
-                        )
+        tally = _Capacity("coefficient slots of the ball walk")
+        s2 = 2.0 * math.sqrt(r2_trav)
+        box = (s2 / self.r00 + 2.0) * (s2 / self.r11 + 2.0) * (s2 / self.r22 + 2.0)
+        if box > tally.ceiling:
+            for _, _, lo0, hi0 in self._rows(r2_trav):
+                tally.add(hi0 - lo0 + 1)
         (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = self.cols
         coeffs = array("q")
         norms2 = array("d")
@@ -369,21 +366,14 @@ class _Frame:
         return np.frombuffer(coeffs, dtype=np.int64).reshape(-1, 3) @ self.U.T
 
 
-def enumerate_ball(
-    basis,
-    radius: float,
-    *,
-    ceiling: int | None = None,
-    return_norms: bool = False,
-):
+def enumerate_ball(basis, radius: float) -> np.ndarray:
     """All nonzero integer coefficient vectors m with ``|basis @ m| <= radius``.
 
     ``basis`` must be 3x3 nonsingular.  Returns an (k, 3) int64 array in a
-    deterministic (but otherwise unspecified) order, or (array, norms)
-    when ``return_norms`` is set.  ``ceiling`` bounds the number of
-    candidate coefficient slots visited before the exact norm filter; a
-    walk that would pass it raises CapacityExceeded before it stores any
-    point.
+    deterministic (but otherwise unspecified) order.  The walk is always
+    bounded: a ball whose candidate coefficient slots would pass the work
+    ceiling (errors.DEFAULT_CEILING) raises CapacityExceeded before it
+    stores any point.
 
     Norms are evaluated against the LLL-reduced columns: for strongly
     sheared bases (diagonal-flow images of a lattice) the reduced frame is
@@ -394,14 +384,11 @@ def enumerate_ball(
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     frame = _Frame(*lll_reduce(B))
-    coeffs, norms2 = frame.walk(radius, ceiling=ceiling)
-    cands = frame.original(coeffs)
-    if return_norms:
-        return cands, np.sqrt(np.frombuffer(norms2, dtype=float))
-    return cands
+    coeffs, _ = frame.walk(radius)
+    return frame.original(coeffs)
 
 
-def shortest_vector_coeffs(basis, *, ceiling: int | None = None) -> tuple[np.ndarray, float]:
+def shortest_vector_coeffs(basis) -> tuple[np.ndarray, float]:
     """Shortest nonzero vector of the column lattice of ``basis``.
 
     Returns (m, length) where m is the integer coefficient vector; the
@@ -409,7 +396,7 @@ def shortest_vector_coeffs(basis, *, ceiling: int | None = None) -> tuple[np.nda
     length resolve to the lexicographically least coefficient tuple.
     """
     frame = _Frame(*lll_reduce(_basis3(basis)))
-    coeffs, norms2 = frame.walk(frame.shortest_radius(), ceiling=ceiling)
+    coeffs, norms2 = frame.walk(frame.shortest_radius())
     if not norms2:
         # cannot happen for a nonsingular basis: the shortest reduced column qualifies
         raise CapacityExceeded("shortest-vector enumeration returned no candidates")

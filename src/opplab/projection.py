@@ -49,9 +49,10 @@ would over the full matrix, and the tile layout depends on the number of
 points alone.  The bits of a tile do depend on its row count, though: BLAS
 edge kernels round the Gram block differently for different block shapes,
 so ``_TILE_ENTRIES`` is part of the output contract until every product is
-fixed-order arithmetic.  Configurations above ``POINT_CEILING`` points
-(10^9 pairs, the ceiling the lattice side puts on visited points) raise
-CapacityExceeded before any tile is built.
+fixed-order arithmetic.  A configuration charges its n^2 pairs to the
+package's work ceiling (errors.DEFAULT_CEILING, the same one that bounds
+every enumeration), so above 31,622 points it raises CapacityExceeded
+before any point is drawn or any tile is built.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_CEILING
-from .errors import CapacityExceeded, EmptyConfig
+from .errors import EmptyConfig, _Capacity
 from .util import parallel_map, uniform_ball
 
 #: a_t-weight of each coordinate.
@@ -72,9 +72,6 @@ WEIGHTS = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 SURVEY_CSV_HEADER = ("r", "exceptional_fraction", "max_count", "energy_median", "energy_p95")
 
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
-
-#: Most points in one configuration: at most DEFAULT_CEILING pairs per matrix.
-POINT_CEILING = math.isqrt(DEFAULT_CEILING)
 
 #: Entries per tile of the pairwise kernel: 512 KiB per float64 buffer, two
 #: buffers per call, reused for every tile.  Changing it can move output bits
@@ -195,8 +192,7 @@ class FiniteConfig:
 
 
 def _check_point_ceiling(n: int) -> None:
-    if n > POINT_CEILING:
-        raise CapacityExceeded(f"{n} points exceed the ceiling of {POINT_CEILING} per configuration")
+    _Capacity(f"point pairs of a {n}-point configuration").add(n * n)
 
 
 def _pair_tiles(x: np.ndarray):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from opplab import approx
+from opplab import approx, errors
 from opplab.approx import (
     ApproxResult,
     IntegralForm,
@@ -177,7 +177,7 @@ def test_certified_search_tiles_match_one_tile(monkeypatch):
 
 
 def test_certified_search_stops_at_the_ceiling(monkeypatch, capsys):
-    monkeypatch.setattr(approx, "DEFAULT_CEILING", 10)
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 10)
 
     def no_tiles(ranges):
         raise AssertionError("a tile was built past the ceiling")

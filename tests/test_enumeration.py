@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from opplab import enumeration
+import opplab
+from opplab import enumeration, errors
 from opplab.enumeration import (
     COUNT_CSV_HEADER,
     WITNESS_CSV_HEADER,
@@ -152,7 +153,7 @@ def test_witness_table_grid_and_missing_fraction():
     assert obj["records"][0]["v"] == list(table.records[0].v)
 
 
-def test_witness_table_single_target_and_validation():
+def test_witness_table_single_target_and_validation(monkeypatch):
     table = witness_table(SQF2, 0.0, 0.0, 1.0, 0.5, 5.0)
     assert table.targets == [0.0]
     with pytest.raises(ValueError):
@@ -168,8 +169,9 @@ def test_witness_table_single_target_and_validation():
             witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, bad)
         with pytest.raises(ValueError):
             witness_table(SQF2, -1.0, 1.0, 0.5, bad, 10.0)
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 100)
     with pytest.raises(CapacityExceeded):
-        witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, 50.0, ceiling=100)
+        witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, 50.0)
 
 
 def test_witness_csv_header_frozen():
@@ -262,7 +264,7 @@ def test_window_hits_block_layout_matches_default(monkeypatch):
     ]
 
     def hits(form):
-        counter = enumeration._Capacity(None)
+        counter = errors._Capacity(enumeration._WORK)
         blocks = list(enumeration._window_hits(form, -1.0, 1.0, 12.5**2, counter))
         v = np.concatenate([blk[0] for blk in blocks]).tolist()
         vals = np.concatenate([blk[1] for blk in blocks]).tolist()
@@ -299,7 +301,7 @@ def test_count_values_monotonicity():
     assert count_values(q, -1.0, 1.0, 10.0) <= count_values(q, -1.0, 1.0, 20.0)
 
 
-def test_count_values_validation():
+def test_count_values_validation(monkeypatch):
     with pytest.raises(ValueError):
         count_values(SQF2, 1.0, -1.0, 10.0)
     with pytest.raises(ValueError):
@@ -310,8 +312,9 @@ def test_count_values_validation():
     for a, b in ((math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf)):
         with pytest.raises(ValueError):
             count_values(SQF2, a, b, 10.0)
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 100)
     with pytest.raises(CapacityExceeded):
-        count_values(SQF2, -1.0, 1.0, 200.0, ceiling=100)
+        count_values(SQF2, -1.0, 1.0, 200.0)
 
 
 def test_cone_constant_closed_form_sanity():
@@ -407,3 +410,26 @@ def test_count_vs_main_term_degenerate_window():
     assert r.csv_row()[4] == ""
     assert r.csv_row()[5] == 1
     assert r.to_json_obj()["ratio"] is None
+
+
+# every work-bounded kernel of the package, each on an input far under the
+# default ceiling and over a ceiling of 4
+_KERNELS = {
+    "witness_table": lambda: witness_table(SQF2, -1.0, 1.0, 0.5, 0.1, 50.0),
+    "count_values": lambda: count_values(SQF2, -1.0, 1.0, 10.0),
+    "count_vs_main_term": lambda: count_vs_main_term(SQF2, -1.0, 1.0, [10.0]),
+    "best_rational_approx": lambda: opplab.best_rational_approx(SQF2, 12.0),
+    "enumerate_ball": lambda: opplab.enumerate_ball(np.eye(3), 2.0),
+    "shortest_vector_coeffs": lambda: opplab.shortest_vector_coeffs(np.eye(3)),
+    "siegel_average": lambda: opplab.siegel_average(1.5, opplab.LatticePoint(np.eye(3)), 2.0, 10),
+    "random_ball": lambda: opplab.FiniteConfig.random_ball(3),
+}
+
+
+@pytest.mark.parametrize("kernel", _KERNELS.values(), ids=_KERNELS.keys())
+def test_one_ceiling_bounds_every_kernel(monkeypatch, kernel):
+    # the ceiling is read from errors when a kernel's tally is made, so
+    # setting it there once reaches every kernel
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 4)
+    with pytest.raises(CapacityExceeded):
+        kernel()

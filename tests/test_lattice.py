@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opplab import approx, flows, lattice
+from opplab import approx, errors, flows, lattice
 from opplab.errors import CapacityExceeded
 from opplab.flows import flow_a, flow_u, form_to_basepoint
 from opplab.forms import TernaryForm, normalize
@@ -97,7 +97,10 @@ def test_enumerate_ball_include_zero_and_norms():
     b = rand_basis(rng)
     plain = enumerate_ball(b, 2.0)
     assert len(plain) > 0 and not np.any(np.all(plain == 0, axis=1))
-    cands, norms = enumerate_ball(b, 2.0, return_norms=True)
+    frame = lattice._Frame(*lll_reduce(b))
+    coeffs, norms2 = frame.walk(2.0)
+    cands, norms = frame.original(coeffs), np.sqrt(np.asarray(norms2))
+    np.testing.assert_array_equal(cands, plain)
     np.testing.assert_allclose(
         norms, np.linalg.norm(cands @ b.T, axis=1), rtol=1e-9, atol=1e-12
     )
@@ -116,14 +119,15 @@ def test_enumerate_ball_unimodular_invariance():
     assert key_a == key_b
 
 
-def test_enumerate_ball_validation_and_ceiling():
+def test_enumerate_ball_validation_and_ceiling(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_ball(np.eye(2), 1.0)
     with pytest.raises(ValueError):
         enumerate_ball(np.eye(3), -1.0)
-    with pytest.raises(CapacityExceeded):
-        enumerate_ball(np.eye(3), 50.0, ceiling=100)
     assert len(enumerate_ball(np.eye(3), 0.5)) == 0
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 100)
+    with pytest.raises(CapacityExceeded):
+        enumerate_ball(np.eye(3), 50.0)
 
 
 def test_enumerate_ball_rejects_non_finite_radius():
@@ -361,7 +365,9 @@ def test_walk_matches_reference_traversal_on_siegel_bases():
         Bred, U = lll_reduce(b)
         frame = lattice._Frame(Bred, U)
         for radius in (2.0, frame.shortest_radius()):
-            cands, norms = enumerate_ball(b, radius, return_norms=True)
+            coeffs, norms2 = frame.walk(radius)
+            cands, norms = frame.original(coeffs), np.sqrt(np.asarray(norms2))
+            np.testing.assert_array_equal(cands, enumerate_ball(b, radius))
             got = {tuple(row) for row in cands.tolist()}
             assert len(got) == len(cands) > 0
             assert got == {tuple(row) for row in _reference_enumerate_frame(Bred, U, radius).tolist()}
@@ -387,12 +393,14 @@ def test_siegel_sample_reads_shortest_length_off_the_bump_ball(monkeypatch, f_ra
     bases = _siegel_bases()
     monkeypatch.setattr(lattice._Frame, "walk", counting)
     for b in bases:
-        assert flows._siegel_sample(b, f_radius, None)[1] == shortest_vector_coeffs(b)[1]
+        assert flows._siegel_sample(b, f_radius)[1] == shortest_vector_coeffs(b)[1]
     assert len(walks) == len(bases) * (2 if f_radius == 1.5 else 3)
 
 
 def test_ceiling_trips_before_the_walk_stores_points():
-    # an enumerator that stores every visited row grows the peak RSS by about 235 MB here
+    # about 4e12 points lie in this ball; at the default ceiling the walk
+    # must refuse it before storing one (an enumerator that stored every
+    # visited row grew the peak RSS by about 235 MB at 10^7 slots)
     code = """
 import resource
 import numpy as np
@@ -401,7 +409,7 @@ from opplab.lattice import enumerate_ball
 enumerate_ball(np.eye(3), 2.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
-    enumerate_ball(np.eye(3), 300.0, ceiling=10**7)
+    enumerate_ball(np.eye(3), 1e4)
 except CapacityExceeded:
     print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
@@ -433,11 +441,12 @@ def test_spread_frame_walks_close_to_its_ball(monkeypatch):
     assert sum(slots) <= 2 * len(pts)
 
 
-def test_spread_frame_ball_matches_brute_force_under_the_ceiling():
-    # about 7.5e5 points; the old widening refused this walk at the ceiling.
-    # The reduced frame is a signed permutation of the columns, so the walk's
-    # norm (x^2 + y^2) + z^2 has the same bits as the one below
-    got = enumerate_ball(np.diag([1e5, 1.0, 1e-5]), 1.5, ceiling=10**7)
+def test_spread_frame_ball_matches_brute_force_under_the_ceiling(monkeypatch):
+    # about 7.5e5 points; the old widening refused this walk at a ceiling of
+    # 10^7 slots.  The reduced frame is a signed permutation of the columns,
+    # so the walk's norm (x^2 + y^2) + z^2 has the same bits as the one below
+    monkeypatch.setattr(errors, "DEFAULT_CEILING", 10**7)
+    got = enumerate_ball(np.diag([1e5, 1.0, 1e-5]), 1.5)
     r2 = 1.5 * 1.5 * (1.0 + 1e-12) + 1e-300
     m2 = np.arange(-150_001, 150_002)
     want = []
@@ -462,10 +471,12 @@ def test_enumeration_does_not_depend_on_the_blas_kernel(run_under_coretype):
     code = f"""
 import hashlib, json
 import numpy as np
-from opplab.lattice import enumerate_ball, shortest_vector_coeffs
+from opplab.lattice import _Frame, enumerate_ball, lll_reduce, shortest_vector_coeffs
 h = hashlib.sha256()
 for b in json.loads({bases!r}):
-    for part in (*enumerate_ball(b, 2.0, return_norms=True), *shortest_vector_coeffs(b)):
+    frame = _Frame(*lll_reduce(b))
+    parts = (enumerate_ball(b, 2.0), *frame.walk(2.0), *shortest_vector_coeffs(b))
+    for part in parts:
         h.update(np.asarray(part).tobytes())
 print(h.hexdigest())
 """
