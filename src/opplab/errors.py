@@ -1,11 +1,11 @@
 """Exception types shared across the package, and the one work ceiling.
 
-Every kernel whose work grows with its input charges that work to a
-``_Capacity`` tally: the window enumeration its scanned pairs and
-candidates (per call), the certified approximation search its candidates
-(per search), a ball walk its coefficient slots (per walk, counted only
-when the walk's box could pass the ceiling) and the pairwise kernel the
-pairs of a configuration.  All of them stop at ``DEFAULT_CEILING``.
+Four kernels charge their work to a ``_Capacity`` tally: the window
+enumeration its scanned pairs and candidates (per call), the certified
+approximation search its candidates (per search), a ball walk its
+coefficient slots (per walk, counted only when the walk's box could pass
+the ceiling) and the pairwise kernel the pairs of a configuration.  All
+of them stop at ``DEFAULT_CEILING``.
 """
 
 #: Hard ceiling on the work of one kernel call (spec default).  A tally

@@ -236,6 +236,8 @@ def test_basepoint_rejects_definite_and_unnormalized():
         form_to_basepoint(TernaryForm(2.0, -1.0, -1.0))
     with pytest.raises(TypeError):
         form_to_basepoint([1.0, -1.0, -1.0])
+    with pytest.raises(TypeError):
+        discrepancy_scan([1.0, -1.0, -1.0], [2.0], 10, 1.0)
 
 
 def test_bump_values_shape():
