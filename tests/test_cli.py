@@ -104,9 +104,10 @@ def test_golden_json_outputs_parse():
         ["margulis", "--theta", "[[NaN,0,0,0,0],[0.01,0,0,0,0]]"],
         ["equidist", "--form", SQF2, "--T", "1e20", "--N", "10"],  # transform beyond int64
         *(["equidist", "--form", SQF2, "--T", t, "--N", "10"] for t in HUGE_T),  # norms beyond float64
-        # arrays of 72.8 TiB: numpy refuses them at once, before touching memory
-        ["projection", "--random-theta", "5", "--r-count", "10000000000000"],
-        ["equidist", "--form", SQF2, "--T", "20", "--N", "10000000000000"],
+        # arrays of 7.1 PiB, beyond the 128 TiB x86-64 user address space: the
+        # allocation fails at once on any overcommit setting, touching no memory
+        ["projection", "--random-theta", "5", "--r-count", "1000000000000000"],
+        ["equidist", "--form", SQF2, "--T", "20", "--N", "1000000000000000"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
