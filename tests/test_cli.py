@@ -52,6 +52,33 @@ GOLDEN_CASES = {
 }
 
 
+def _with_format(argv, fmt):
+    """argv with its --format option, if any, replaced by ``--format fmt``."""
+    if "--format" in argv:
+        i = argv.index("--format")
+        argv = argv[:i] + argv[i + 2:]
+    return [*argv, "--format", fmt]
+
+
+# each case above in its other format
+GOLDEN_CASES.update(
+    (f"{Path(name).stem}.{fmt}", _with_format(argv, fmt))
+    for name, argv in list(GOLDEN_CASES.items())
+    for fmt in ("csv", "json")
+    if Path(name).suffix != f".{fmt}"
+)
+for _fmt in ("csv", "json"):
+    # b = a: the main term is zero, so the ratio prints as null or an empty cell
+    GOLDEN_CASES[f"count_degenerate.{_fmt}"] = [
+        "count", "--form", "[1,-1,-1]", "--a", "0.5", "--b", "0.5",
+        "--T", "10,20", "--samples", "20000", "--seed", "1", "--format", _fmt,
+    ]
+    # the small-values branch: its CSV prints the witness table
+    GOLDEN_CASES[f"dichotomy_small.{_fmt}"] = [
+        "dichotomy", "--form", SQF2, "--R", "2", "--T", "1e8", "--format", _fmt,
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_snapshot(name, capsys):
     rc = main(GOLDEN_CASES[name])
