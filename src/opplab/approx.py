@@ -67,10 +67,6 @@ class IntegralForm:
     def sup_norm(self) -> int:
         return max(abs(x) for x in self.entries)
 
-    def to_json_obj(self) -> dict[str, int]:
-        keys = ("m11", "m22", "m33", "m12", "m13", "m23")
-        return {k: int(v) for k, v in zip(keys, self.entries)}
-
 
 def signed_inverse_cuberoot(det: int | float) -> float:
     """sign(det) * |det|^(-1/3); the unique lam with det(lam*Q') = +1."""
@@ -92,15 +88,6 @@ class ApproxResult:
     dist: float
     bound: float
     certified: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "qprime": self.qprime.to_json_obj(),
-            "lambda": self.lam,
-            "dist": self.dist,
-            "bound": self.bound,
-            "certified": self.certified,
-        }
 
 
 # rows of one scored tile: bounds the length of every scoring temporary
@@ -315,16 +302,6 @@ class WitnessSummary:
     grid_step: float
     span: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "targets": self.targets,
-            "witnessed": self.witnessed,
-            "fraction": self.fraction,
-            "eps": self.eps,
-            "grid_step": self.grid_step,
-            "span": self.span,
-        }
-
 
 @dataclass
 class DichotomyOutcome:
@@ -340,14 +317,6 @@ class DichotomyOutcome:
     approx: ApproxResult
     witness: Optional[WitnessSummary] = None
     table: Optional[WitnessTable] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "branch": self.branch,
-            "thresholds": self.thresholds,
-            "approx": self.approx.to_json_obj(),
-            "witness_summary": None if self.witness is None else self.witness.to_json_obj(),
-        }
 
 
 def dichotomy_report(
@@ -418,15 +387,6 @@ class GapRow:
     lam: float
     certified: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "R": self.R,
-            "dist": self.dist,
-            "qprime": self.qprime.to_json_obj(),
-            "lambda": self.lam,
-            "certified": self.certified,
-        }
-
 
 @dataclass
 class GapResult:
@@ -435,13 +395,6 @@ class GapResult:
     rows: list[GapRow]
     fit_coefficient: Optional[float]
     fit_exponent: Optional[float]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": [r.to_json_obj() for r in self.rows],
-            "fit_coefficient": self.fit_coefficient,
-            "fit_exponent": self.fit_exponent,
-        }
 
 
 def _power_law_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

@@ -8,6 +8,18 @@ rescaled to determinant +1 (see forms.normalize) before any computation,
 so commands agree with the library conventions regardless of the scale
 the form was typed at.
 
+This is the one module that knows how a result is printed.  The JSON of a
+result record is its dataclass fields, recursively, keyed by field name,
+except for five keys:
+
+    lam -> lambda, n_samples -> N, main_constant -> c_q,
+    main_constant_stderr -> c_q_stderr, witness -> witness_summary.
+
+Two fields are not printed: DichotomyOutcome.table (the small-values CSV
+prints the table instead) and ImprovementStats.ratios (the raw ratio
+array).  ``witness`` adds the ``witnessed`` count, and ``count`` prints
+``null`` for the ratio of a degenerate window.  Every CSV header lives here.
+
 Exit codes: 0 success, 1 usage or input errors, 2 scientific anomaly
 (currently only the dichotomy command: the rational branch was rejected
 and yet witness coverage fell below the configured floor).
@@ -26,35 +38,28 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .approx import algebraicity_gap, dichotomy_report
-from .enumeration import (
-    COUNT_CSV_HEADER,
-    WITNESS_CSV_HEADER,
-    count_vs_main_term,
-    main_term_constant,
-    witness_table,
-)
+from .enumeration import WitnessTable, count_vs_main_term, main_term_constant, witness_table
 from .errors import OppLabError
-from .flows import EQUIDIST_CSV_HEADER, discrepancy_scan
+from .flows import discrepancy_scan
 from .forms import normalize, parse_form
-from .projection import (
-    SURVEY_CSV_HEADER,
-    FiniteConfig,
-    ProjectionParams,
-    improvement_step_sim,
-    projection_survey,
-)
+from .projection import FiniteConfig, ProjectionParams, improvement_step_sim, projection_survey
 from .util import worker_count
 
+WITNESS_CSV_HEADER = ("s", "v1", "v2", "v3", "value", "gap", "norm")
+COUNT_CSV_HEADER = ("T", "count", "c_q", "main_term", "ratio", "degenerate_window")
+EQUIDIST_CSV_HEADER = ("T", "N", "empirical", "haar", "deviation", "min_inj")
+SURVEY_CSV_HEADER = ("r", "exceptional_fraction", "max_count", "energy_median", "energy_p95")
 RATIONAL_CSV_HEADER = ("R", "dist", "lam", "certified", "m11", "m22", "m33", "m12", "m13", "m23")
 MARGULIS_CSV_HEADER = ("rho", "ratio_median")
 CQ_CSV_HEADER = ("c_q", "stderr", "delta", "samples", "seed")
@@ -128,19 +133,54 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _csv_text(header: Sequence, rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+#: JSON keys that differ from the record field they print.
+_JSON_KEYS = {
+    "lam": "lambda",
+    "n_samples": "N",
+    "main_constant": "c_q",
+    "main_constant_stderr": "c_q_stderr",
+    "witness": "witness_summary",
+}
+#: Record fields left out of the JSON (see the module docstring).
+_UNPRINTED = frozenset({"table", "ratios"})
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json_obj(value):
+    """The printed JSON form of a result record: its fields, recursively."""
+    if dataclasses.is_dataclass(value):
+        return {
+            _JSON_KEYS.get(f.name, f.name): _json_obj(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name not in _UNPRINTED
+        }
+    if isinstance(value, (list, tuple)):
+        return [_json_obj(v) for v in value]
+    return value
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _columns(objs: Iterable[dict], header: Sequence[str]) -> list[tuple]:
+    """CSV rows read from JSON objects in header order."""
+    return [tuple(obj[k] for k in header) for obj in objs]
+
+
+def _witness_rows(table: WitnessTable) -> list[tuple]:
+    """One row per target; an unwitnessed target leaves the vector cells empty."""
+    return [
+        (s, "", "", "", "", "", "") if rec is None else (rec.s, *rec.v, rec.value, rec.gap, rec.norm)
+        for s, rec in zip(table.targets, table.records)
+    ]
+
+
+def _emit(args: argparse.Namespace, obj, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write obj as JSON, or header and rows as CSV, as --format asks."""
+    if args.format == "json":
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -171,19 +211,13 @@ def cmd_dichotomy(args) -> int:
         a_exp=args.a_exp,
         k_exp=args.k_exp,
     )
-    if args.format == "json":
-        _write(args, _json_text(outcome.to_json_obj()))
-    elif outcome.table is not None:
-        _write(args, _csv_text(WITNESS_CSV_HEADER, outcome.table.csv_rows()))
+    if outcome.table is not None:
+        header, rows = WITNESS_CSV_HEADER, _witness_rows(outcome.table)
     else:
-        row = (
-            outcome.branch,
-            outcome.approx.dist,
-            outcome.approx.lam,
-            outcome.approx.certified,
-            "",
-        )
-        _write(args, _csv_text(DICHOTOMY_CSV_HEADER, [row]))
+        approx = outcome.approx
+        row = (outcome.branch, approx.dist, approx.lam, approx.certified, "")
+        header, rows = DICHOTOMY_CSV_HEADER, [row]
+    _emit(args, _json_obj(outcome), header, rows)
     if outcome.branch == "small_values" and outcome.witness.fraction < args.coverage_floor:
         return 2
     return 0
@@ -192,10 +226,9 @@ def cmd_dichotomy(args) -> int:
 def cmd_witness(args) -> int:
     q = normalize(parse_form(args.form))
     table = witness_table(q, args.s_min, args.s_max, args.grid, args.eps, args.T)
-    if args.format == "json":
-        _write(args, _json_text(table.to_json_obj()))
-    else:
-        _write(args, _csv_text(WITNESS_CSV_HEADER, table.csv_rows()))
+    obj = _json_obj(table)
+    obj["witnessed"] = table.witnessed
+    _emit(args, obj, WITNESS_CSV_HEADER, _witness_rows(table))
     return 0
 
 
@@ -210,10 +243,16 @@ def cmd_count(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    if args.format == "json":
-        _write(args, _json_text([r.to_json_obj() for r in reports]))
-    else:
-        _write(args, _csv_text(COUNT_CSV_HEADER, [r.csv_row() for r in reports]))
+    objs = [_json_obj(r) for r in reports]
+    for obj in objs:
+        if obj["degenerate_window"]:
+            obj["ratio"] = None  # the record keeps its NaN; JSON has no NaN
+    rows = [
+        (r.T, r.count, r.main_constant, r.main_term, "" if r.degenerate_window else r.ratio,
+         int(r.degenerate_window))
+        for r in reports
+    ]
+    _emit(args, objs, COUNT_CSV_HEADER, rows)
     return 0
 
 
@@ -227,34 +266,23 @@ def cmd_cq(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    if args.format == "json":
-        _write(args, _json_text(obj))
-    else:
-        _write(args, _csv_text(CQ_CSV_HEADER, [tuple(obj[k] for k in CQ_CSV_HEADER)]))
+    _emit(args, obj, CQ_CSV_HEADER, _columns([obj], CQ_CSV_HEADER))
     return 0
 
 
 def cmd_rational(args) -> int:
     q = normalize(parse_form(args.form))
     result = algebraicity_gap(q, _float_list(args.R), exhaustive_limit=args.exhaustive_limit)
-    if args.format == "json":
-        _write(args, _json_text(result.to_json_obj()))
-    else:
-        rows = [
-            (row.R, row.dist, row.lam, row.certified, *row.qprime.entries)
-            for row in result.rows
-        ]
-        _write(args, _csv_text(RATIONAL_CSV_HEADER, rows))
+    rows = [(row.R, row.dist, row.lam, row.certified, *row.qprime.entries) for row in result.rows]
+    _emit(args, _json_obj(result), RATIONAL_CSV_HEADER, rows)
     return 0
 
 
 def cmd_equidist(args) -> int:
     q = normalize(parse_form(args.form))
     reports = discrepancy_scan(q, _float_list(args.T), args.N, args.f_radius, seed=args.seed)
-    if args.format == "json":
-        _write(args, _json_text([r.to_json_obj() for r in reports]))
-    else:
-        _write(args, _csv_text(EQUIDIST_CSV_HEADER, [r.csv_row() for r in reports]))
+    objs = _json_obj(reports)
+    _emit(args, objs, EQUIDIST_CSV_HEADER, _columns(objs, EQUIDIST_CSV_HEADER))
     return 0
 
 
@@ -272,18 +300,9 @@ def cmd_projection(args) -> int:
     else:
         grid = np.linspace(0.0, 1.0, args.r_count).tolist()
     result = projection_survey(config, params, grid, survey_const=args.C, survey_exp=args.c)
-    if args.format == "json":
-        obj = result.to_json_obj()
-        obj["params"] = {
-            "alpha": params.alpha,
-            "b1": params.b1,
-            "b": params.b,
-            "eps": params.eps,
-            "egbd": params.egbd,
-        }
-        _write(args, _json_text(obj))
-    else:
-        _write(args, _csv_text(SURVEY_CSV_HEADER, [row.csv_row() for row in result.rows]))
+    obj = _json_obj(result)
+    obj["params"] = _json_obj(params)
+    _emit(args, obj, SURVEY_CSV_HEADER, _columns(obj["rows"], SURVEY_CSV_HEADER))
     return 0
 
 
@@ -298,11 +317,8 @@ def cmd_margulis(args) -> int:
         truncation=args.M,
         seed=args.seed,
     )
-    if args.format == "json":
-        _write(args, _json_text(stats.to_json_obj()))
-    else:
-        rows = list(zip(stats.rho_values, stats.rho_medians))
-        _write(args, _csv_text(MARGULIS_CSV_HEADER, rows))
+    rows = list(zip(stats.rho_values, stats.rho_medians))
+    _emit(args, _json_obj(stats), MARGULIS_CSV_HEADER, rows)
     return 0
 
 

@@ -77,9 +77,6 @@ _SHELL_BASE = 8.0
 _V_BALL = 4.0 * math.pi / 3.0
 _SQRT2 = math.sqrt(2.0)
 
-WITNESS_CSV_HEADER = ("s", "v1", "v2", "v3", "value", "gap", "norm")
-COUNT_CSV_HEADER = ("T", "count", "c_q", "main_term", "ratio", "degenerate_window")
-
 
 def _ragged_aranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated integer ranges start_i..stop_i and their source row index."""
@@ -93,17 +90,15 @@ def _ragged_aranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, 
     return starts[owner] + within, owner
 
 
-def _shell_windows(T: float) -> Iterator[tuple[float, float]]:
-    """Norm-squared windows (lo2, hi2] covering (0, T^2] in doubling shells."""
+def _shell_windows(T: float) -> Iterator[float]:
+    """Outer norm-squared bounds of doubling shells, ending at T^2."""
     T2 = float(T) * float(T)
     hi = _SHELL_BASE
-    lo2 = 0.0
     while True:
         hi2 = min(hi * hi, T2)
-        yield lo2, hi2
+        yield hi2
         if hi2 >= T2:
             return
-        lo2 = hi2
         hi *= 2.0
 
 
@@ -116,18 +111,6 @@ class WitnessRecord:
     value: float
     gap: float
     norm: float
-
-    def csv_row(self) -> tuple:
-        return (self.s, *self.v, self.value, self.gap, self.norm)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "v": list(self.v),
-            "value": self.value,
-            "gap": self.gap,
-            "norm": self.norm,
-        }
 
 
 @dataclass
@@ -143,25 +126,6 @@ class WitnessTable:
     def witnessed(self) -> int:
         return sum(r is not None for r in self.records)
 
-    def csv_rows(self) -> list[tuple]:
-        """One row per target; unwitnessed targets leave the vector cells empty."""
-        rows = []
-        for s, rec in zip(self.targets, self.records):
-            if rec is None:
-                rows.append((s, "", "", "", "", "", ""))
-            else:
-                rows.append(rec.csv_row())
-        return rows
-
-    def to_json_obj(self) -> dict:
-        return {
-            "eps": self.eps,
-            "T": self.T,
-            "targets": list(self.targets),
-            "witnessed": self.witnessed,
-            "records": [None if r is None else r.to_json_obj() for r in self.records],
-        }
-
 
 def _grid(s_min: float, s_max: float, step: float) -> list[float]:
     n = int(math.floor((s_max - s_min) / step + 1e-9)) + 1
@@ -174,8 +138,10 @@ def witness_table(
     """Minimal-norm primitive witnesses |Q(v) - s| <= eps for a grid of s.
 
     A degenerate grid (s_min = s_max) yields the single target s_min.  Each
-    doubling shell lo2 < |v|^2 <= hi2 takes the window hits of the ball
-    |v|^2 <= hi2 on the span of all targets.  The ceiling bounds the (u, v)
+    doubling shell takes the window hits of the whole ball |v|^2 <= hi2 on
+    the span of all targets.  A target still open has no hit in the inner
+    ball of an earlier shell, so its first hit in norm order lies in the
+    new shell; no inner radius is needed.  The ceiling bounds the (u, v)
     pairs plus the candidates of those passes, summed over the shells
     walked; each shell charges its disc before scanning it, so the shell
     that would cross the ceiling raises before it starts.  The search stops
@@ -198,7 +164,7 @@ def witness_table(
     win_lo, win_hi = targets[0] - eps - pad, targets[-1] + eps + pad
     counter = _Capacity(_WORK)
 
-    for lo2, hi2 in _shell_windows(T):
+    for hi2 in _shell_windows(T):
         blocks = list(_window_hits(form, win_lo, win_hi, hi2, counter))
         if not blocks:
             continue
@@ -206,7 +172,7 @@ def witness_table(
         vals = np.concatenate([blk[1] for blk in blocks])
         n2 = np.einsum("ij,ij->i", v, v)
         first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
-        keep = (n2 > lo2) & (first > 0) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
+        keep = (first > 0) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
         v, vals, n2 = v[keep], vals[keep], n2[keep]
         order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
         v, vals, n2 = v[order], vals[order], n2[order]
@@ -530,29 +496,6 @@ class CountReport:
     main_term: float
     ratio: float
     degenerate_window: bool
-
-    def csv_row(self) -> tuple:
-        return (
-            self.T,
-            self.count,
-            self.main_constant,
-            self.main_term,
-            "" if self.degenerate_window else self.ratio,
-            int(self.degenerate_window),
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "T": self.T,
-            "count": self.count,
-            "c_q": self.main_constant,
-            "c_q_stderr": self.main_constant_stderr,
-            "main_term": self.main_term,
-            "ratio": None if self.degenerate_window else self.ratio,
-            "degenerate_window": self.degenerate_window,
-        }
 
 
 def count_vs_main_term(

@@ -45,8 +45,6 @@ from .lattice import _Frame, lll_reduce
 
 _DET_TOL = 1e-10
 
-EQUIDIST_CSV_HEADER = ("T", "N", "empirical", "haar", "deviation", "min_inj")
-
 # int_0^1 exp(1 - 1/(1-t^2)) t^2 dt by a 200-point Gauss-Legendre rule, frozen
 # (exact value 0.0954136992943015777..., 50-digit mpmath)
 _BUMP_RADIAL_INTEGRAL = 0.09541369929430213
@@ -233,20 +231,6 @@ class EquidistReport:
     haar: float
     deviation: float
     min_inj: float
-
-    def csv_row(self) -> tuple:
-        return (self.T, self.n_samples, self.empirical, self.haar, self.deviation, self.min_inj)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "T": self.T,
-            "N": self.n_samples,
-            "f_radius": self.f_radius,
-            "empirical": self.empirical,
-            "haar": self.haar,
-            "deviation": self.deviation,
-            "min_inj": self.min_inj,
-        }
 
 
 def _siegel_sample(basis: np.ndarray, f_radius: float) -> tuple[float, float]:

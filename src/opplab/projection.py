@@ -69,8 +69,6 @@ from .util import parallel_map, uniform_ball
 #: a_t-weight of each coordinate.
 WEIGHTS = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
-SURVEY_CSV_HEADER = ("r", "exceptional_fraction", "max_count", "energy_median", "energy_p95")
-
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 
 #: Entries per tile of the pairwise kernel: 512 KiB per float64 buffer, two
@@ -310,18 +308,6 @@ class SurveyRow:
     energy_median: float
     energy_p95: float
 
-    def csv_row(self) -> tuple:
-        return (self.r, self.exceptional_fraction, self.max_count, self.energy_median, self.energy_p95)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "r": self.r,
-            "exceptional_fraction": self.exceptional_fraction,
-            "max_count": self.max_count,
-            "energy_median": self.energy_median,
-            "energy_p95": self.energy_p95,
-        }
-
 
 @dataclass
 class SurveyResult:
@@ -329,14 +315,6 @@ class SurveyResult:
     exceptional_r_fraction: float
     count_bound: float
     row_threshold: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": [row.to_json_obj() for row in self.rows],
-            "exceptional_r_fraction": self.exceptional_r_fraction,
-            "count_bound": self.count_bound,
-            "row_threshold": self.row_threshold,
-        }
 
 
 def projection_survey(
@@ -357,6 +335,8 @@ def projection_survey(
     """
     pts = _require_unit_ball(config)
     rs = [float(r) for r in r_grid]
+    if not rs:
+        raise ValueError("r_grid must be nonempty")
     if not all(0 <= r <= 1 for r in rs):
         raise ValueError("r_grid must lie in [0, 1]")
     for name, value in {"survey_const": survey_const, "survey_exp": survey_exp}.items():
@@ -390,7 +370,7 @@ def projection_survey(
         )
 
     rows = parallel_map(one_r, rs)
-    exc = sum(row.exceptional_fraction > threshold for row in rows) / len(rows) if rows else 0.0
+    exc = sum(row.exceptional_fraction > threshold for row in rows) / len(rows)
     return SurveyResult(
         rows=rows,
         exceptional_r_fraction=float(exc),
@@ -458,19 +438,6 @@ class ImprovementStats:
     floor_fraction_before: float
     floor_fraction_after: float
     ratios: np.ndarray = field(repr=False)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rho_values": self.rho_values,
-            "rho_medians": self.rho_medians,
-            "ratio_median": self.ratio_median,
-            "ratio_mean": self.ratio_mean,
-            "ratio_p95": self.ratio_p95,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "floor_fraction_before": self.floor_fraction_before,
-            "floor_fraction_after": self.floor_fraction_after,
-        }
 
 
 def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:

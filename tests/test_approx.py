@@ -17,7 +17,7 @@ from opplab.approx import (
     dichotomy_report,
     signed_inverse_cuberoot,
 )
-from opplab.cli import main
+from opplab.cli import _json_obj, main
 from opplab.errors import CapacityExceeded
 from opplab.forms import TernaryForm, normalize
 
@@ -229,7 +229,7 @@ def test_best_rational_approx_validation():
 
 def test_approx_result_json():
     res = best_rational_approx(RATIONAL, 2.0)
-    obj = res.to_json_obj()
+    obj = _json_obj(res)
     assert obj["dist"] == 0.0
     assert obj["certified"] is True
     assert obj["qprime"]["m11"] == 1
@@ -244,7 +244,7 @@ def test_dichotomy_rational_branch():
     assert out.table is None
     assert out.thresholds["R"] == 2.0
     assert out.thresholds["T"] == 16.0
-    obj = out.to_json_obj()
+    obj = _json_obj(out)
     assert obj["branch"] == "rational_approx"
     assert obj["witness_summary"] is None
 

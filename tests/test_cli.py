@@ -135,6 +135,7 @@ def test_golden_json_outputs_parse():
         # allocation fails at once on any overcommit setting, touching no memory
         ["projection", "--random-theta", "5", "--r-count", "1000000000000000"],
         ["equidist", "--form", SQF2, "--T", "20", "--N", "1000000000000000"],
+        ["projection", "--random-theta", "50", "--r-count", "0"],  # an empty r grid
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):

@@ -15,6 +15,7 @@ from opplab.cli import main  # noqa: E402
 
 SQF2 = "[1,-1,-1.4142135623730951]"
 NONFINITE = st.sampled_from(["nan", "inf", "-inf"])
+FORMATS = st.sampled_from(["csv", "json"])
 GRAM_KEYS = ("m11", "m22", "m33", "m12", "m13", "m23")
 
 
@@ -36,7 +37,9 @@ FUZZ_FORMS = st.one_of(
 
 
 def _argv(command, *pairs):
-    # --flag=value, so that values such as -inf or -1e-05 are not read as flags
+    # --flag=value, so that values such as -inf or -1e-05 are not read as flags;
+    # every subcommand is fuzzed in both output formats
+    pairs = (*pairs, ("--format", FORMATS))
     return st.tuples(*(value.map(lambda v, f=flag: f"{f}={v}") for flag, value in pairs)).map(
         lambda opts: [command, *opts]
     )
@@ -71,7 +74,7 @@ FUZZ_ARGV = st.one_of(
     _argv(
         "projection", ("--random-theta", st.integers(1, 20).map(str)),
         ("--ball-radius", _num(0.1, 1)), ("--alpha", _num(0.5, 2.5)), ("--b", _num(0.01, 0.5)),
-        ("--C", _num(1, 20)), ("--c", _num(0, 20)), ("--r-count", st.integers(1, 5).map(str)),
+        ("--C", _num(1, 20)), ("--c", _num(0, 20)), ("--r-count", st.integers(0, 5).map(str)),
     ),
     _argv(
         "margulis", ("--random-theta", st.integers(1, 10).map(str)),

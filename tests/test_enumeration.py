@@ -1,6 +1,7 @@
 """Tests for witness search, value counts, and C_Q."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,9 +11,8 @@ import scipy.integrate
 
 import opplab
 from opplab import enumeration, errors
+from opplab.cli import COUNT_CSV_HEADER, WITNESS_CSV_HEADER, _witness_rows, main
 from opplab.enumeration import (
-    COUNT_CSV_HEADER,
-    WITNESS_CSV_HEADER,
     count_values,
     count_vs_main_term,
     find_witness,
@@ -23,6 +23,7 @@ from opplab.errors import CapacityExceeded, DefiniteForm, DegenerateForm
 from opplab.forms import REFERENCE_FORM, TernaryForm, normalize
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
+SQF2_TEXT = "[1,-1,-1.4142135623730951]"
 PI_SQRT2 = math.pi * math.sqrt(2.0)
 
 
@@ -136,7 +137,12 @@ def test_witness_record_fields_selfconsistent():
     assert math.gcd(math.gcd(abs(rec.v[0]), abs(rec.v[1])), abs(rec.v[2])) == 1
 
 
-def test_witness_table_grid_and_missing_fraction():
+def _printed(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_witness_table_grid_and_missing_fraction(capsys):
     q = normalize(TernaryForm(1.0, -1.0, -1.0))
     table = witness_table(q, -1.0, 1.0, 0.5, 0.25, 10.0)
     assert table.targets == [-1.0, -0.5, 0.0, 0.5, 1.0]
@@ -144,10 +150,14 @@ def test_witness_table_grid_and_missing_fraction():
     hits = [rec is not None for rec in table.records]
     assert hits == [True, False, True, False, True]
     assert table.witnessed == 3
-    rows = table.csv_rows()
+    rows = _witness_rows(table)
     assert len(rows) == 5
     assert rows[1] == (-0.5, "", "", "", "", "", "")
-    obj = table.to_json_obj()
+    argv = [
+        "witness", "--form", "[1,-1,-1]", "--s-min", "-1", "--s-max", "1",
+        "--grid", "0.5", "--eps", "0.25", "--T", "10", "--format", "json",
+    ]
+    obj = json.loads(_printed(capsys, argv))
     assert obj["witnessed"] == 3
     assert obj["records"][1] is None
     assert obj["records"][0]["v"] == list(table.records[0].v)
@@ -366,7 +376,7 @@ def test_main_term_constant_validation():
         main_term_constant(TernaryForm(1.0, 1.0, 1.0))
 
 
-def test_count_vs_main_term_reports():
+def test_count_vs_main_term_reports(capsys):
     reports = count_vs_main_term(SQF2, -1.0, 1.0, [10.0, 20.0], samples=10**5, seed=0)
     assert [r.T for r in reports] == [10.0, 20.0]
     for r in reports:
@@ -374,7 +384,12 @@ def test_count_vs_main_term_reports():
         assert r.main_term == pytest.approx(r.main_constant * 2.0 * r.T, rel=1e-12)
         assert r.ratio == pytest.approx(r.count / r.main_term, rel=1e-12)
         assert not r.degenerate_window
-        assert r.csv_row()[-1] == 0
+    argv = [
+        "count", "--form", SQF2_TEXT, "--a", "-1", "--b", "1", "--T", "10,20",
+        "--samples", str(10**5), "--seed", "0",
+    ]
+    rows = _printed(capsys, argv).splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0", "0"]
 
 
 def test_count_vs_main_term_ladder_in_input_order():
@@ -401,15 +416,21 @@ def test_count_vs_main_term_checks_before_monte_carlo(monkeypatch):
         count_vs_main_term(SQF2, -1.0, 1.0, [5.0, 100000.0])
 
 
-def test_count_vs_main_term_degenerate_window():
+def test_count_vs_main_term_degenerate_window(capsys):
     reports = count_vs_main_term(SQF2, 0.5, 0.5, [5.0], samples=10**5, seed=0)
     (r,) = reports
     assert r.degenerate_window
     assert r.main_term == 0.0
     assert math.isnan(r.ratio)
-    assert r.csv_row()[4] == ""
-    assert r.csv_row()[5] == 1
-    assert r.to_json_obj()["ratio"] is None
+    argv = [
+        "count", "--form", SQF2_TEXT, "--a", "0.5", "--b", "0.5", "--T", "5",
+        "--samples", str(10**5), "--seed", "0",
+    ]
+    row = _printed(capsys, argv).splitlines()[1].split(",")
+    assert row[4] == ""
+    assert row[5] == "1"
+    (obj,) = json.loads(_printed(capsys, [*argv, "--format", "json"]))
+    assert obj["ratio"] is None
 
 
 # every work-bounded kernel of the package, each on an input far under the

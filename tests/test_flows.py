@@ -7,10 +7,10 @@ import pytest
 import sympy
 
 from opplab import flows, lattice
+from opplab.cli import EQUIDIST_CSV_HEADER, _columns, _json_obj
 from opplab.errors import SignatureMismatch
 from opplab.flows import (
     Basepoint,
-    EQUIDIST_CSV_HEADER,
     EquidistReport,
     GroupElement,
     LatticePoint,
@@ -333,9 +333,10 @@ def test_equidist_report_csv_row():
         deviation=0.25, min_inj=0.5,
     )
     assert EQUIDIST_CSV_HEADER == ("T", "N", "empirical", "haar", "deviation", "min_inj")
-    row = rep.csv_row()
+    obj = _json_obj(rep)
+    (row,) = _columns([obj], EQUIDIST_CSV_HEADER)
     assert row[0] == 10.0 and row[1] == 16
-    assert rep.to_json_obj()["deviation"] == 0.25
+    assert obj["deviation"] == 0.25
 
 
 def test_discrepancy_scan_matches_single_calls():

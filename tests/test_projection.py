@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from opplab import projection
+from opplab.cli import SURVEY_CSV_HEADER, _json_obj
 from opplab.errors import CapacityExceeded, EmptyConfig
 from opplab.projection import (
-    SURVEY_CSV_HEADER,
     WEIGHTS,
     FiniteConfig,
     MargulisParams,
@@ -508,7 +508,7 @@ def test_improvement_step_dense_cluster_improves():
     assert len(stats.rho_values) == 8
     assert len(stats.rho_medians) == 8
     assert stats.ratio_min <= stats.ratio_median <= stats.ratio_p95 <= stats.ratio_max
-    obj = stats.to_json_obj()
+    obj = _json_obj(stats)
     assert "ratios" not in obj
     assert obj["ratio_median"] == stats.ratio_median
 
