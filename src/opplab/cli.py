@@ -32,6 +32,12 @@ is not a positive integer with exit 1.  Both ``python -m opplab`` and the
 thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
 set: no subcommand gains from BLAS threads, and their idle pool costs CPU
 time in every process.  The pin does not reach child processes.
+
+This module calls the library through its layer modules (such as
+``enumeration.witness_table``), which load on first use, so a run executes
+only the layers its subcommand calls: ``--help`` none beyond errors and
+util, ``projection`` and ``margulis`` only projection.  JSON output never
+holds NaN or Infinity; a result with a non-finite value exits 1 instead.
 """
 
 from __future__ import annotations
@@ -48,12 +54,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .approx import algebraicity_gap, dichotomy_report
-from .enumeration import WitnessTable, count_vs_main_term, main_term_constant, witness_table
+# the layers load on first use (see opplab/__init__.py): a subcommand runs only its own
+from . import approx, enumeration, flows, forms, projection
 from .errors import OppLabError
-from .flows import discrepancy_scan
-from .forms import normalize, parse_form
-from .projection import FiniteConfig, ProjectionParams, improvement_step_sim, projection_survey
 from .util import worker_count
 
 WITNESS_CSV_HEADER = ("s", "v1", "v2", "v3", "value", "gap", "norm")
@@ -163,7 +166,7 @@ def _columns(objs: Iterable[dict], header: Sequence[str]) -> list[tuple]:
     return [tuple(obj[k] for k in header) for obj in objs]
 
 
-def _witness_rows(table: WitnessTable) -> list[tuple]:
+def _witness_rows(table: enumeration.WitnessTable) -> list[tuple]:
     """One row per target; an unwitnessed target leaves the vector cells empty."""
     return [
         (s, "", "", "", "", "", "") if rec is None else (rec.s, *rec.v, rec.value, rec.gap, rec.norm)
@@ -174,7 +177,7 @@ def _witness_rows(table: WitnessTable) -> list[tuple]:
 def _emit(args: argparse.Namespace, obj, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write obj as JSON, or header and rows as CSV, as --format asks."""
     if args.format == "json":
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"  # no NaN or Infinity
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -188,22 +191,25 @@ def _emit(args: argparse.Namespace, obj, header: Sequence[str], rows: Iterable[S
         sys.stdout.write(text)
 
 
-def _load_theta(args: argparse.Namespace) -> FiniteConfig:
+def _form(args: argparse.Namespace) -> forms.NormalizedForm:
+    return forms.normalize(forms.parse_form(args.form))
+
+
+def _load_theta(args: argparse.Namespace) -> projection.FiniteConfig:
     if args.theta is not None:
         text = args.theta
         if not text.lstrip().startswith(("[", "{")):
             with open(text) as fh:
                 text = fh.read()
-        return FiniteConfig.from_json_obj(json.loads(text))
+        return projection.FiniteConfig.from_json_obj(json.loads(text))
     if args.random_theta is not None:
-        return FiniteConfig.random_ball(args.random_theta, radius=args.ball_radius, seed=args.seed)
+        return projection.FiniteConfig.random_ball(args.random_theta, radius=args.ball_radius, seed=args.seed)
     raise ValueError("provide a configuration via --theta or --random-theta")
 
 
 def cmd_dichotomy(args) -> int:
-    q = normalize(parse_form(args.form))
-    outcome = dichotomy_report(
-        q,
+    outcome = approx.dichotomy_report(
+        _form(args),
         args.R,
         args.T,
         eps=args.eps,
@@ -214,8 +220,8 @@ def cmd_dichotomy(args) -> int:
     if outcome.table is not None:
         header, rows = WITNESS_CSV_HEADER, _witness_rows(outcome.table)
     else:
-        approx = outcome.approx
-        row = (outcome.branch, approx.dist, approx.lam, approx.certified, "")
+        best = outcome.approx
+        row = (outcome.branch, best.dist, best.lam, best.certified, "")
         header, rows = DICHOTOMY_CSV_HEADER, [row]
     _emit(args, _json_obj(outcome), header, rows)
     if outcome.branch == "small_values" and outcome.witness.fraction < args.coverage_floor:
@@ -224,8 +230,7 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    q = normalize(parse_form(args.form))
-    table = witness_table(q, args.s_min, args.s_max, args.grid, args.eps, args.T)
+    table = enumeration.witness_table(_form(args), args.s_min, args.s_max, args.grid, args.eps, args.T)
     obj = _json_obj(table)
     obj["witnessed"] = table.witnessed
     _emit(args, obj, WITNESS_CSV_HEADER, _witness_rows(table))
@@ -233,9 +238,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_count(args) -> int:
-    q = normalize(parse_form(args.form))
-    reports = count_vs_main_term(
-        q,
+    reports = enumeration.count_vs_main_term(
+        _form(args),
         args.a,
         args.b,
         _float_list(args.T),
@@ -257,8 +261,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_cq(args) -> int:
-    q = normalize(parse_form(args.form))
-    estimate, stderr = main_term_constant(q, delta=args.delta, samples=args.samples, seed=args.seed)
+    estimate, stderr = enumeration.main_term_constant(
+        _form(args), delta=args.delta, samples=args.samples, seed=args.seed
+    )
     obj = {
         "c_q": estimate,
         "stderr": stderr,
@@ -271,16 +276,14 @@ def cmd_cq(args) -> int:
 
 
 def cmd_rational(args) -> int:
-    q = normalize(parse_form(args.form))
-    result = algebraicity_gap(q, _float_list(args.R), exhaustive_limit=args.exhaustive_limit)
+    result = approx.algebraicity_gap(_form(args), _float_list(args.R), exhaustive_limit=args.exhaustive_limit)
     rows = [(row.R, row.dist, row.lam, row.certified, *row.qprime.entries) for row in result.rows]
     _emit(args, _json_obj(result), RATIONAL_CSV_HEADER, rows)
     return 0
 
 
 def cmd_equidist(args) -> int:
-    q = normalize(parse_form(args.form))
-    reports = discrepancy_scan(q, _float_list(args.T), args.N, args.f_radius, seed=args.seed)
+    reports = flows.discrepancy_scan(_form(args), _float_list(args.T), args.N, args.f_radius, seed=args.seed)
     objs = _json_obj(reports)
     _emit(args, objs, EQUIDIST_CSV_HEADER, _columns(objs, EQUIDIST_CSV_HEADER))
     return 0
@@ -288,7 +291,7 @@ def cmd_equidist(args) -> int:
 
 def cmd_projection(args) -> int:
     config = _load_theta(args)
-    params = ProjectionParams.measured(
+    params = projection.ProjectionParams.measured(
         config,
         alpha=args.alpha,
         b1=args.b1 if args.b1 is not None else args.b,
@@ -299,7 +302,7 @@ def cmd_projection(args) -> int:
         grid = _float_list(args.r_grid)
     else:
         grid = np.linspace(0.0, 1.0, args.r_count).tolist()
-    result = projection_survey(config, params, grid, survey_const=args.C, survey_exp=args.c)
+    result = projection.projection_survey(config, params, grid, survey_const=args.C, survey_exp=args.c)
     obj = _json_obj(result)
     obj["params"] = _json_obj(params)
     _emit(args, obj, SURVEY_CSV_HEADER, _columns(obj["rows"], SURVEY_CSV_HEADER))
@@ -308,7 +311,7 @@ def cmd_projection(args) -> int:
 
 def cmd_margulis(args) -> int:
     config = _load_theta(args)
-    stats = improvement_step_sim(
+    stats = projection.improvement_step_sim(
         config,
         alpha=args.alpha,
         ell=args.ell,

@@ -39,11 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignatureMismatch
+from .errors import SignatureMismatch, _Capacity
 from .forms import REFERENCE_FORM, as_form, normalize
 from .lattice import _Frame, lll_reduce
 
 _DET_TOL = 1e-10
+
+#: What one Siegel sample charges to the work ceiling (errors.DEFAULT_CEILING),
+#: in scanned pairs of the window enumeration: a sample takes about 125 us,
+#: a scanned pair about 70 ns.  siegel_average charges its N samples before
+#: the first one.
+_SAMPLE_WORK = 2_000
 
 # int_0^1 exp(1 - 1/(1-t^2)) t^2 dt by a 200-point Gauss-Legendre rule, frozen
 # (exact value 0.0954136992943015777..., 50-digit mpmath)
@@ -270,6 +276,7 @@ def siegel_average(
         raise ValueError(f"N must be >= 10, got {N}")
     if not 0 < f_radius < math.inf:
         raise ValueError(f"f_radius must be finite and positive, got {f_radius}")
+    _Capacity("scanned-pair units of the Siegel samples").add(_SAMPLE_WORK * N)
     rng = np.random.default_rng(seed)
     rs = (np.arange(N) + rng.random(N)) / N
     a_mat = flow_a(math.log(T)).mat

@@ -458,6 +458,24 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
     return values, at_floor
 
 
+def _reject_undefined_ratios(pts: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+    """Raise ValueError if a point's energy is infinite before and after (inf/inf).
+
+    That happens when more than ``truncation`` other points coincide with it;
+    the error names the point and its nearest neighbour.
+    """
+    both = np.flatnonzero(np.isinf(old) & np.isinf(new))
+    if both.size:
+        i = int(both[0])
+        dist = np.linalg.norm(pts - pts[i], axis=1)
+        dist[i] = math.inf
+        j = int(np.argmin(dist))
+        raise ValueError(
+            f"points {i} and {j} coincide (distance {dist[j]:.3g}): their truncated energy "
+            "is infinite before and after the transport, so its ratio is undefined"
+        )
+
+
 def improvement_step_sim(
     config: FiniteConfig,
     alpha: float,
@@ -488,6 +506,7 @@ def improvement_step_sim(
     def one_rho(rho: float) -> tuple[np.ndarray, float]:
         moved = adjoint_a(ell, adjoint_u(rho, pts))
         new, new_floor = _margulis_profile(moved, b, truncation, alpha)
+        _reject_undefined_ratios(pts, old, new)
         return new / old, float(np.mean(new_floor))
 
     # serial: the per-row loop of _margulis_profile holds the GIL

@@ -11,7 +11,6 @@ byte.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -50,6 +49,10 @@ def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
     n = worker_count()
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures loads threading, queue and logging,
+    # which no other step needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
         return list(ex.map(fn, items))
 

@@ -133,9 +133,18 @@ def test_golden_json_outputs_parse():
         *(["equidist", "--form", SQF2, "--T", t, "--N", "10"] for t in HUGE_T),  # norms beyond float64
         # arrays of 7.1 PiB, beyond the 128 TiB x86-64 user address space: the
         # allocation fails at once on any overcommit setting, touching no memory
+        # (equidist's samples now pass the work ceiling before any array is made)
         ["projection", "--random-theta", "5", "--r-count", "1000000000000000"],
         ["equidist", "--form", SQF2, "--T", "20", "--N", "1000000000000000"],
         ["projection", "--random-theta", "50", "--r-count", "0"],  # an empty r grid
+        [
+            "margulis", "--theta", "[[0,0,0,0,0],[0,0,0,0,0],[0.01,0,0,0,0]]",
+            "--M", "0", "--r-samples", "1", "--format", "json",
+        ],  # coincident points: an inf/inf energy ratio
+        # sample counts over the work ceiling, refused before the first sample
+        ["equidist", "--form", SQF2, "--T", "20", "--N", "10000000"],
+        ["cq", "--form", SQF2, "--samples", "100000000000"],
+        ["count", "--form", SQF2, "--a", "-1", "--b", "1", "--T", "10", "--samples", "10000000000"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -333,6 +342,55 @@ def test_import_after_numpy_leaves_the_environment_alone():
     got = _probe_pin(first="import numpy")
     assert got["unchanged"]
     assert got["env"]["OPENBLAS_NUM_THREADS"] is None
+
+
+_LAYER_PROBE = """
+import contextlib, io, json, sys, types
+from opplab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        rc = exc.code
+# a layer still waiting to load is a LazyLoader module, not a plain ModuleType
+print(json.dumps({"rc": rc, "executed": sorted(
+    name for name, m in sys.modules.items() if name.startswith("opplab.") and type(m) is types.ModuleType
+)}))
+"""
+
+_ALWAYS = ("cli", "errors", "util")
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["witness", "--help"], _ALWAYS),
+        (["witness", "--form", SQF2, "--T", "20"], (*_ALWAYS, "enumeration", "forms")),
+        (["equidist", "--form", SQF2, "--T", "5", "--N", "16"], (*_ALWAYS, "flows", "forms", "lattice")),
+        (["projection", "--random-theta", "30", "--r-count", "3"], (*_ALWAYS, "projection")),
+    ],
+    ids=["help", "witness", "equidist", "projection"],
+)
+def test_a_subcommand_executes_only_its_layers(argv, layers):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBE, *argv], capture_output=True, text=True,
+        check=True, env=_fresh_env(), timeout=120,
+    )
+    got = json.loads(proc.stdout)
+    assert got["rc"] == 0
+    assert got["executed"] == sorted(f"opplab.{layer}" for layer in layers)
+
+
+def test_every_public_name_resolves_to_its_layer():
+    listed = set(dir(opplab))
+    for name in opplab.__all__:
+        obj = getattr(opplab, name)
+        assert obj.__module__.startswith("opplab."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert name in listed, name
+    star: dict = {}
+    exec("from opplab import *", star)
+    assert set(star) - {"__builtins__"} == set(opplab.__all__)
 
 
 def test_default_pool_follows_the_affinity_mask(monkeypatch):

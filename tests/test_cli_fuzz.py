@@ -98,3 +98,10 @@ def test_cli_fuzz_exits_0_or_1(argv):
     assert rc in (0, 1), argv
     if rc == 1:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+    elif "--format=json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_nonfinite)
+
+
+def _reject_nonfinite(name):
+    """RFC 8259 JSON has no NaN or Infinity; Python's parser accepts them unless told not to."""
+    raise AssertionError(f"non-finite JSON value {name}")

@@ -444,6 +444,7 @@ _KERNELS = {
     "shortest_vector_coeffs": lambda: opplab.shortest_vector_coeffs(np.eye(3)),
     "siegel_average": lambda: opplab.siegel_average(1.5, opplab.LatticePoint(np.eye(3)), 2.0, 10),
     "random_ball": lambda: opplab.FiniteConfig.random_ball(3),
+    "main_term_constant": lambda: main_term_constant(SQF2, samples=10_000),
 }
 
 
@@ -454,3 +455,26 @@ def test_one_ceiling_bounds_every_kernel(monkeypatch, kernel):
     monkeypatch.setattr(errors, "DEFAULT_CEILING", 4)
     with pytest.raises(CapacityExceeded):
         kernel()
+
+
+def test_sample_counts_are_charged_before_the_first_sample(monkeypatch):
+    # a Siegel sample charges 2*10^3 units and a Monte Carlo sample 3, so at
+    # the default ceiling of 10^9 the largest counts are 500,000 and
+    # 333,333,333; one more is refused before any sample is drawn
+    class SampleDrawn(Exception):
+        pass
+
+    def draw(*args):
+        raise SampleDrawn
+
+    monkeypatch.setattr(opplab.flows, "_siegel_sample", draw)
+    monkeypatch.setattr(enumeration, "uniform_ball", draw)
+    x0 = opplab.LatticePoint(np.eye(3))
+    with pytest.raises(SampleDrawn):
+        opplab.siegel_average(1.5, x0, 2.0, 500_000)
+    with pytest.raises(CapacityExceeded, match="Siegel samples"):
+        opplab.siegel_average(1.5, x0, 2.0, 500_001)
+    with pytest.raises(SampleDrawn):
+        main_term_constant(SQF2, samples=333_333_333)
+    with pytest.raises(CapacityExceeded, match="Monte Carlo samples"):
+        main_term_constant(SQF2, samples=333_333_334)

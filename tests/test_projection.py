@@ -501,6 +501,16 @@ def test_improvement_step_validation():
         improvement_step_sim(cfg, 1.5, math.nan, 0.1, 4, 2)
 
 
+def test_improvement_step_rejects_an_undefined_ratio():
+    # two coincident points have an infinite energy before and after the
+    # transport; a truncation of 1 drops that zero distance, so the ratios exist
+    cfg = FiniteConfig(points=[[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0.01, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="points 0 and 1 coincide"):
+        improvement_step_sim(cfg, 1.5, 1.0, 0.02, 1, 0)
+    stats = improvement_step_sim(cfg, 1.5, 1.0, 0.02, 1, 1)
+    assert np.all(np.isfinite(stats.ratios))
+
+
 def test_improvement_step_dense_cluster_improves():
     cfg = FiniteConfig.random_ball(500, radius=0.04, seed=9)
     stats = improvement_step_sim(cfg, 1.5, 1.0, 0.1, 8, 2, seed=4)
