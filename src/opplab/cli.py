@@ -177,7 +177,7 @@ def _witness_rows(table: enumeration.WitnessTable) -> list[tuple]:
 def _emit(args: argparse.Namespace, obj, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write obj as JSON, or header and rows as CSV, as --format asks."""
     if args.format == "json":
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"  # no NaN or Infinity
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"  # RFC 8259 has no NaN
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

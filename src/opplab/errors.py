@@ -4,8 +4,11 @@ Four kernels charge their work to a ``_Capacity`` tally: the window
 enumeration its scanned pairs and candidates (per call), the certified
 approximation search its candidates (per search), a ball walk its
 coefficient slots (per walk, counted only when the walk's box could pass
-the ceiling) and the pairwise kernel the pairs of a configuration.  All
-of them stop at ``DEFAULT_CEILING``.
+the ceiling) and the pairwise kernel the pairs of a configuration.  Two
+sample loops charge all their samples before the first, in scanned-pair
+units: the Siegel samples of one siegel_average call and the Monte Carlo
+samples of one main_term_constant call.  All of them stop at
+``DEFAULT_CEILING``.
 """
 
 #: Hard ceiling on the work of one kernel call (spec default).  A tally

@@ -461,8 +461,8 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
 def _reject_undefined_ratios(pts: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
     """Raise ValueError if a point's energy is infinite before and after (inf/inf).
 
-    That happens when more than ``truncation`` other points coincide with it;
-    the error names the point and its nearest neighbour.
+    That happens when more points coincide with it than the truncation
+    drops; the error names the point and its nearest neighbour.
     """
     both = np.flatnonzero(np.isinf(old) & np.isinf(new))
     if both.size:
@@ -489,7 +489,8 @@ def improvement_step_sim(
     compare truncated energies before and after, averaged over sampled rho.
 
     Purely observational: the returned statistics assert nothing beyond
-    their own arithmetic.  Deterministic for a fixed seed.
+    their own arithmetic.  Deterministic for a fixed seed.  Raises
+    ValueError when coincident points make a ratio inf/inf.
     """
     if not 0 < alpha < 2:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")

@@ -133,7 +133,7 @@ def test_golden_json_outputs_parse():
         *(["equidist", "--form", SQF2, "--T", t, "--N", "10"] for t in HUGE_T),  # norms beyond float64
         # arrays of 7.1 PiB, beyond the 128 TiB x86-64 user address space: the
         # allocation fails at once on any overcommit setting, touching no memory
-        # (equidist's samples now pass the work ceiling before any array is made)
+        # (equidist's N is refused by the work ceiling before any array is made)
         ["projection", "--random-theta", "5", "--r-count", "1000000000000000"],
         ["equidist", "--form", SQF2, "--T", "20", "--N", "1000000000000000"],
         ["projection", "--random-theta", "50", "--r-count", "0"],  # an empty r grid
