@@ -52,8 +52,6 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 # the layers load on first use (see opplab/__init__.py): a subcommand runs only its own
 from . import approx, enumeration, flows, forms, projection
 from .errors import OppLabError
@@ -301,7 +299,7 @@ def cmd_projection(args) -> int:
     if args.r_grid is not None:
         grid = _float_list(args.r_grid)
     else:
-        grid = np.linspace(0.0, 1.0, args.r_count).tolist()
+        grid = projection.uniform_r_grid(args.r_count, len(config))
     result = projection.projection_survey(config, params, grid, survey_const=args.C, survey_exp=args.c)
     obj = _json_obj(result)
     obj["params"] = _json_obj(params)

@@ -43,16 +43,22 @@ matrix of a configuration in blocks of whole rows, each at most
 Gram block stay in a 2 MiB L2 cache).  The kernel allocates its two row
 buffers once per call and refills them for every tile, so a yielded tile is
 a reused buffer: the consumer must reduce it (or copy it) before the
-generator advances, and may overwrite it in place.  Each consumer reduces
-row by row, so a row's sum runs over the same contiguous values as it
-would over the full matrix, and the tile layout depends on the number of
-points alone.  The bits of a tile do depend on its row count, though: BLAS
-edge kernels round the Gram block differently for different block shapes,
-so ``_TILE_ENTRIES`` is part of the output contract until every product is
+generator advances, and may overwrite it in place.  A tile is not clipped
+at 0: rounding can leave an entry slightly negative.  The neighbour counts
+compare with a square b^2 >= 0 and the energies clip at b^2 themselves, so
+neither needs the clip; the near returns clip the entries they gather.
+Each consumer reduces row by row or, for the near returns, per tile with
+an order-independent sum, so a row's value is what it would be over the
+full matrix, and the tile layout depends on the number of points alone.
+The bits of a tile do depend on its row count, though: BLAS edge kernels
+round the Gram block differently for different block shapes, so
+``_TILE_ENTRIES`` is part of the output contract until every product is
 fixed-order arithmetic.  A configuration charges its n^2 pairs to the
 package's work ceiling (errors.DEFAULT_CEILING, the same one that bounds
 every enumeration), so above 31,622 points it raises CapacityExceeded
-before any point is drawn or any tile is built.
+before any point is drawn or any tile is built.  A survey also charges
+its r values, and improvement_step_sim its profiles, before the first tile
+(see _ITEM_WORK).
 """
 
 from __future__ import annotations
@@ -75,6 +81,16 @@ _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 #: buffers per call, reused for every tile.  Changing it can move output bits
 #: (see the module docstring).
 _TILE_ENTRIES = 1 << 16
+
+#: What one r of projection_survey, or one truncated-energy profile of
+#: improvement_step_sim, charges to the work ceiling, in scanned pairs of the
+#: window enumeration (about 70 ns each, the unit of the other sample loops):
+#: a pass costs about 4 ns per point pair at n = 2,000, so _PAIRS_PER_UNIT
+#: point pairs count as one unit, and about 100 us more at any n, which is
+#: _ITEM_WORK units.  Each call charges all its r values (or profiles) before
+#: the first tile.
+_PAIRS_PER_UNIT = 16
+_ITEM_WORK = 1_500
 
 
 def shift_exponential(r: float) -> np.ndarray:
@@ -193,28 +209,51 @@ def _check_point_ceiling(n: int) -> None:
     _Capacity(f"point pairs of a {n}-point configuration").add(n * n)
 
 
+def _tile_buffer(n: int, dtype=float) -> np.ndarray:
+    """An uninitialized buffer the shape of the largest tile of an n-point configuration."""
+    return np.empty((min(max(1, _TILE_ENTRIES // n), n), n), dtype)
+
+
+def _charge_items(count: int, n: int, what: str) -> None:
+    """Charge ``count`` passes over the pairs of an n-point configuration to the ceiling."""
+    work = count * (n * n // _PAIRS_PER_UNIT + _ITEM_WORK)
+    _Capacity(f"scanned-pair units of {count} {what} on {n} points").add(work)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per row of a tile mask.
+
+    A uint16 accumulator sums about three times faster than the intp one of
+    count_nonzero, and is exact while a row has fewer than 2^16 entries.
+    """
+    return mask.sum(axis=1, dtype=np.uint16 if mask.shape[1] < 1 << 16 else np.intp)
+
+
 def _pair_tiles(x: np.ndarray):
-    """Yield (first_row, d2), d2[k, j] = |x[first_row + k] - x[j]|^2 clipped at 0, in row order.
+    """Yield (first_row, d2), d2[k, j] ~ |x[first_row + k] - x[j]|^2, in row order.
 
     d2 is a view of one buffer that the next tile overwrites: reduce it
     before advancing.  The entries are computed as
-    max((sq_i + sq_j) - 2 * (x_i . x_j), 0), operation for operation.
+    (sq_i + sq_j) - 2 * (x_i . x_j), operation for operation, and are not
+    clipped: rounding can leave an entry slightly negative, so a consumer
+    that needs a distance clips at 0 itself.
     """
     n = len(x)
     _check_point_ceiling(n)
     sq = np.sum(x**2, axis=1)
-    step = max(1, _TILE_ENTRIES // n)
-    d2_buf = np.empty((min(step, n), n))
-    gram_buf = np.empty_like(d2_buf)
+    d2_buf, gram_buf = _tile_buffer(n), _tile_buffer(n)
+    step = len(d2_buf)
     for i in range(0, n, step):
         rows = slice(i, i + step)
         m = min(step, n - i)
         d2, gram = d2_buf[:m], gram_buf[:m]
-        np.add(sq[rows, None], sq[None, :], out=d2)
+        # sq_j + sq_i has the bits of sq_i + sq_j: IEEE addition commutes
+        np.copyto(d2, sq)
+        np.add(d2, sq[rows, None], out=d2)
         np.matmul(x[rows], x.T, out=gram)
         gram *= 2.0
         d2 -= gram
-        yield i, np.maximum(d2, 0.0, out=d2)
+        yield i, d2
 
 
 def _require_unit_ball(config: FiniteConfig) -> np.ndarray:
@@ -244,9 +283,12 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     while scales[-1] < 1.0:
         scales.append(min(2.0 * scales[-1], 1.0))
     top = [0] * len(scales)
+    mask_buf = _tile_buffer(n, bool)
     for _, d2 in _pair_tiles(pts):
+        mask = mask_buf[: len(d2)]
         for k, scale in enumerate(scales):
-            top[k] = max(top[k], int(np.count_nonzero(d2 <= scale * scale, axis=1).max()))
+            np.less_equal(d2, scale * scale, out=mask)
+            top[k] = max(top[k], int(_row_counts(mask).max()))
     return max(float(count) / (scale**alpha * n) for count, scale in zip(top, scales))
 
 
@@ -300,6 +342,16 @@ class ProjectionParams:
         return cls(alpha=alpha, b1=b1, b=b, eps=eps, egbd=egbd)
 
 
+def uniform_r_grid(count: int, n: int) -> list[float]:
+    """np.linspace(0, 1, count) as the r grid of a survey of n points.
+
+    The grid is charged to the work ceiling like the survey itself, before
+    it is built, so a count the survey would refuse allocates nothing.
+    """
+    _charge_items(count, n, "r values of the survey")
+    return np.linspace(0.0, 1.0, count).tolist()
+
+
 @dataclass(frozen=True)
 class SurveyRow:
     r: float
@@ -334,6 +386,8 @@ def projection_survey(
     image are reported per r as summary quantiles.
     """
     pts = _require_unit_ball(config)
+    n = len(pts)
+    _charge_items(len(r_grid), n, "r values of the survey")
     rs = [float(r) for r in r_grid]
     if not rs:
         raise ValueError("r_grid must be nonempty")
@@ -342,7 +396,6 @@ def projection_survey(
     for name, value in {"survey_const": survey_const, "survey_exp": survey_exp}.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    n = len(pts)
     b, alpha = params.b, params.alpha
     bound = survey_const * params.egbd * b ** (alpha - survey_exp * params.eps) * n
     threshold = b**params.eps
@@ -352,9 +405,12 @@ def projection_survey(
     def one_r(r: float) -> SurveyRow:
         counts = np.empty(n, dtype=np.int64)
         row_energy = np.empty(n)
+        mask_buf = _tile_buffer(n, bool)
         for i, d2 in _pair_tiles(xi(r, pts)):
             rows = slice(i, i + len(d2))
-            counts[rows] = np.count_nonzero(d2 <= b2, axis=1)
+            mask = np.less_equal(d2, b2, out=mask_buf[: len(d2)])
+            counts[rows] = _row_counts(mask)
+            # b2 >= 0, so this also clips the negative rounding residues
             np.maximum(d2, b2, out=d2)
             if alpha == 2.0:
                 np.divide(1.0, d2, out=d2)
@@ -441,20 +497,49 @@ class ImprovementStats:
 
 
 def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point truncated energy over a configuration."""
+    """Per-point truncated energy over a configuration, one tile at a time.
+
+    A return of point i is a point j != i with sqrt(max(d2[i, j], 0)) < b.
+    The tile is first cut at d2 < max(b*b*(1 + 1e-12), tiny), which keeps
+    every return: sqrt is correctly rounded, so a rounded root below b
+    means the exact root is below b and d2 < b^2 exactly, while the cut
+    is above b^2 (b*b and the product each lose at most 2^-53 relatively,
+    far less than the 1e-12 pad, and the smallest normal float covers a
+    b*b that underflows).  The exact test then runs on the gathered entries
+    only.  Each row's returns are sorted, its M smallest dropped, and the
+    rest summed with math.fsum, which is correctly rounded whatever the
+    order of its terms, so the values equal a row-by-row reduction.
+    """
     n = len(pts)
     values = np.empty(n)
     at_floor = np.empty(n, dtype=bool)
+    floor_value = float(b ** (-alpha))
+    cut = max(b * b * (1.0 + 1e-12), np.finfo(float).tiny)
+    mask_buf = _tile_buffer(n, bool)
     for first, d2 in _pair_tiles(pts):
-        dist = np.sqrt(d2, out=d2)
+        rows = len(d2)
         # the self-pair is excluded by index, so a coincident point still
         # counts as a return at distance 0
-        k = np.arange(len(dist))
-        dist[k, first + k] = math.inf
-        for i, row in enumerate(dist, start=first):
-            nb = np.sort(row[row < b])
-            at_floor[i] = len(nb) <= m
-            values[i] = _truncated_energy(nb, b, m, alpha)
+        k = np.arange(rows)
+        d2[k, first + k] = math.inf
+        flat = np.flatnonzero(np.less(d2, cut, out=mask_buf[:rows]))
+        dist = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
+        near = dist < b
+        owner, dist = flat[near] // n, dist[near]
+        # flat is in row order, so each row's returns are contiguous: row k
+        # of ``nearest`` holds those of tile row k, then inf padding
+        returns = np.bincount(owner, minlength=rows)
+        slot = np.arange(len(owner)) - (np.cumsum(returns) - returns)[owner]
+        nearest = np.full((rows, int(returns.max())), math.inf)
+        nearest[owner, slot] = dist
+        nearest.sort(axis=1)
+        with np.errstate(divide="ignore"):
+            energy = nearest[:, m:] ** (-alpha)
+        at_floor[first : first + rows] = returns <= m
+        values[first : first + rows] = [
+            math.fsum(row[: count - m]) if count > m else floor_value
+            for row, count in zip(energy.tolist(), returns.tolist())
+        ]
     return values, at_floor
 
 
@@ -500,6 +585,7 @@ def improvement_step_sim(
         raise ValueError(f"r_samples must be >= 1, got {r_samples}")
     MargulisParams(b=b, truncation=truncation, alpha=alpha)  # range validation
     pts = _require_unit_ball(config)
+    _charge_items(r_samples + 1, len(pts), "truncated-energy profiles")
     old, old_floor = _margulis_profile(pts, b, truncation, alpha)
     rng = np.random.default_rng(seed)
     rhos = (np.arange(r_samples) + rng.random(r_samples)) / r_samples
@@ -510,7 +596,8 @@ def improvement_step_sim(
         _reject_undefined_ratios(pts, old, new)
         return new / old, float(np.mean(new_floor))
 
-    # serial: the per-row loop of _margulis_profile holds the GIL
+    # serial: the per-row sums of _margulis_profile hold the GIL, and a pool
+    # over the rho samples was measured not to pay
     results = [one_rho(float(r)) for r in rhos]
     ratios = np.stack([r for r, _ in results])
     flat = ratios.ravel()

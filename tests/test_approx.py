@@ -189,6 +189,18 @@ def test_certified_search_stops_at_the_ceiling(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_certified_search_charges_its_walk_before_walking(monkeypatch, capsys):
+    def no_walk(q6, r, d):
+        raise AssertionError("the search walked past the ceiling")
+
+    monkeypatch.setattr(approx, "_search_boxes", no_walk)
+    with pytest.raises(CapacityExceeded, match="candidates of the certified search"):
+        best_rational_approx(SQF2, 1e7, exhaustive_limit=10**7)
+    argv = ["rational", "--form", "[1,-1,-1.4142135623730951]", "--R", "10000000", "--exhaustive-limit", "10000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_dist_invariant_under_qprime_negation():
     rng = np.random.default_rng(42)
 

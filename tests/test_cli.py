@@ -131,9 +131,9 @@ def test_golden_json_outputs_parse():
         ["margulis", "--theta", "[[NaN,0,0,0,0],[0.01,0,0,0,0]]"],
         ["equidist", "--form", SQF2, "--T", "1e20", "--N", "10"],  # transform beyond int64
         *(["equidist", "--form", SQF2, "--T", t, "--N", "10"] for t in HUGE_T),  # norms beyond float64
-        # arrays of 7.1 PiB, beyond the 128 TiB x86-64 user address space: the
-        # allocation fails at once on any overcommit setting, touching no memory
-        # (equidist's N is refused by the work ceiling before any array is made)
+        # a grid and samples of 7.1 PiB, beyond the 128 TiB x86-64 user address
+        # space; both counts are refused by the work ceiling before any array
+        # is made
         ["projection", "--random-theta", "5", "--r-count", "1000000000000000"],
         ["equidist", "--form", SQF2, "--T", "20", "--N", "1000000000000000"],
         ["projection", "--random-theta", "50", "--r-count", "0"],  # an empty r grid
@@ -145,6 +145,9 @@ def test_golden_json_outputs_parse():
         ["equidist", "--form", SQF2, "--T", "20", "--N", "10000000"],
         ["cq", "--form", SQF2, "--samples", "100000000000"],
         ["count", "--form", SQF2, "--a", "-1", "--b", "1", "--T", "10", "--samples", "10000000000"],
+        # r values and profiles over the work ceiling, refused before the first tile
+        ["projection", "--random-theta", "5", "--r-count", "10000000"],
+        ["margulis", "--random-theta", "5", "--r-samples", "100000000"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -153,6 +156,15 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
     assert captured.err.startswith("error:")
     if argv[:1] == ["equidist"] and argv[4] in HUGE_T:
         assert "too large to reduce in float64" in captured.err
+
+
+def test_an_array_numpy_cannot_allocate_exits_1(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.1 PiB for an array")
+
+    monkeypatch.setattr(opplab.projection.FiniteConfig, "random_ball", no_memory)
+    assert main(["projection", "--random-theta", "5", "--r-count", "3"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 7.1 PiB for an array\n"
 
 
 def test_low_witness_coverage_exits_2(capsys):

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from opplab import errors
+
 pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -100,6 +102,41 @@ def test_cli_fuzz_exits_0_or_1(argv):
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
     elif "--format=json" in argv:
         json.loads(out.getvalue(), parse_constant=_reject_nonfinite)
+
+
+#: a count option's value, anywhere from 0 to 10^12
+COUNT = st.integers(0, 10**12).map(str)
+
+FUZZ_COUNT_ARGV = st.one_of(
+    _argv("projection", ("--random-theta", st.integers(1, 20).map(str)), ("--r-count", COUNT)),
+    _argv(
+        "margulis", ("--random-theta", st.integers(1, 10).map(str)), ("--ball-radius", st.just("0.05")),
+        ("--r-samples", COUNT),
+    ),
+    _argv("equidist", ("--form", st.just(SQF2)), ("--T", st.just("2")), ("--N", COUNT)),
+    _argv(
+        "count", ("--form", st.just(SQF2)), ("--a", st.just("-1")), ("--b", st.just("1")),
+        ("--T", st.just("5")), ("--samples", COUNT),
+    ),
+    _argv("cq", ("--form", st.just(SQF2)), ("--samples", COUNT)),
+)
+
+
+@settings(max_examples=100, deadline=3000, derandomize=True, database=None)
+@given(FUZZ_COUNT_ARGV)
+def test_cli_fuzz_counts_are_charged_before_the_work(argv):
+    # every count is charged to the work ceiling before the loop it counts,
+    # so a run either fits the ceiling or exits 1 at once.  The ceiling is
+    # lowered to 10^6 units here, so that what fits also runs within the
+    # deadline (under the real ceiling that is tens of seconds of work)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "DEFAULT_CEILING", 10**6)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1), argv
+    if rc == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
 
 
 def _reject_nonfinite(name):

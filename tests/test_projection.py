@@ -1,6 +1,7 @@
 """Tests for the weight-coordinate actions, projection surveys, and
 truncated-energy machinery on finite configurations."""
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -554,11 +555,11 @@ def test_pair_tiles_row_blocks_match_one_tile(monkeypatch):
 
 
 def _allocating_tiles(x, step):
-    """Reference kernel: one allocating expression per tile, no reused buffers."""
+    """Reference kernel: one allocating expression per tile, no reused buffers, no clip."""
     sq = np.sum(x**2, axis=1)
     for i in range(0, len(x), step):
         rows = slice(i, i + step)
-        yield i, np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
+        yield i, sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
 
 
 def _assert_tiles_match_allocating_formula(x):
@@ -566,9 +567,17 @@ def _assert_tiles_match_allocating_formula(x):
     got = [(i, d2.copy()) for i, d2 in projection._pair_tiles(x)]
     want = list(_allocating_tiles(x, step))
     assert [i for i, _ in got] == [i for i, _ in want]
-    for (_, g), (_, w) in zip(got, want):
+    sq = np.sum(x**2, axis=1)
+    for (i, g), (_, w) in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+        # clipped by its consumer, a tile is the clipped squared distance of
+        # the formula the kernel yielded before tiles were left unclipped
+        rows = slice(i, i + step)
+        clipped = np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
+        assert np.array_equal(np.maximum(g, 0.0), clipped)
+    # rounding leaves some entries below 0, so the clip is exercised
+    assert any(np.any(g < 0) for _, g in got)
 
 
 def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
@@ -631,3 +640,126 @@ def test_margulis_profile_excludes_self_pair_by_index():
     values, at_floor = projection._margulis_profile(pts, 0.1, 1, 1.0)
     assert list(values) == [10.0, 10.0, 10.0]
     assert list(at_floor) == [True, True, True]
+
+
+def _row_profile(pts, b, m, alpha):
+    """Reference truncated-energy profile: one sorted row of distances at a time.
+
+    The tiles come from the allocating formula clipped at 0, which the
+    kernel's tiles match bit for bit (see the tile test above).
+    """
+    step = max(1, projection._TILE_ENTRIES // len(pts))
+    values = np.empty(len(pts))
+    at_floor = np.empty(len(pts), dtype=bool)
+    for first, d2 in _allocating_tiles(pts, step):
+        dist = np.sqrt(np.maximum(d2, 0.0))
+        k = np.arange(len(dist))
+        dist[k, first + k] = math.inf
+        for i, row in enumerate(dist, start=first):
+            nb = np.sort(row[row < b])
+            at_floor[i] = len(nb) <= m
+            if len(nb) <= m:
+                values[i] = float(b ** (-alpha))
+            else:
+                with np.errstate(divide="ignore"):
+                    values[i] = math.fsum(nb[m:] ** (-alpha))
+    return values, at_floor
+
+
+def _profile_cases():
+    """(points, b, M, alpha) cases for the profile oracle."""
+    cluster = FiniteConfig.random_ball(2000, radius=0.04, seed=0).points
+    cases = [(cluster, 0.02, 2, 1.5), (cluster, 0.02, 0, 0.5)]
+    for rho in (0.3, 0.9):
+        cases.append((adjoint_a(1.0, adjoint_u(rho, cluster)), 0.02, 2, 1.5))
+    # coincident points: ten duplicated rows and one point taken three times
+    crowd = np.concatenate([cluster[:200], cluster[:10], cluster[:1]])
+    cases += [(crowd, 0.02, 0, 1.5), (crowd, 0.02, 1, 0.5), (crowd, 0.02, 3, 1.0)]
+    # M at or above the returns of some rows, and of every row
+    cases += [(cluster[:300], 0.02, 4, 1.5), (cluster[:300], 0.02, 10**6, 0.5)]
+    # a ring of neighbours within a few ulps of b = 1/16 around the origin,
+    # which sit on both sides of the exact test and inside the superset cut
+    b = 0.0625
+    rng = np.random.default_rng(7)
+    unit = rng.normal(size=(400, 5))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    radii = b * (1.0 + np.arange(-3, 4)[rng.integers(0, 7, 400)] * 2.0**-52)
+    ring = np.concatenate([np.zeros((1, 5)), unit * radii[:, None]])
+    cases += [(ring, b, 0, 1.5), (ring, b, 3, 0.5)]
+    return cases
+
+
+def test_margulis_profile_matches_row_by_row_reference():
+    for pts, b, m, alpha in _profile_cases():
+        values, at_floor = projection._margulis_profile(pts, b, m, alpha)
+        want_values, want_floor = _row_profile(pts, b, m, alpha)
+        assert np.array_equal(values, want_values), (len(pts), b, m, alpha)
+        assert np.array_equal(at_floor, want_floor), (len(pts), b, m, alpha)
+
+
+def test_margulis_profile_return_at_exactly_b():
+    # distances exactly b (a power of two, so every square is exact) are not
+    # returns; one ulp less is
+    b = 0.0625
+    pts = np.zeros((4, 5))
+    pts[1, 0] = b
+    pts[2, 1] = -b
+    pts[3, 2] = np.nextafter(b, 0.0)
+    values, at_floor = projection._margulis_profile(pts, b, 0, 1.0)
+    assert list(at_floor) == [False, True, True, False]
+    assert values[0] == values[3] == 1.0 / np.nextafter(b, 0.0)
+    assert values[1] == values[2] == 16.0
+    want = _row_profile(pts, b, 0, 1.0)
+    assert np.array_equal(values, want[0]) and np.array_equal(at_floor, want[1])
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "SkylakeX"])
+def test_margulis_profile_matches_reference_under_blas_kernels(run_under_coretype, coretype):
+    code = "\n".join([
+        "import math",
+        "import numpy as np",
+        "from opplab import projection",
+        "from opplab.projection import FiniteConfig, adjoint_a, adjoint_u",
+        inspect.getsource(_allocating_tiles),
+        inspect.getsource(_row_profile),
+        inspect.getsource(_profile_cases),
+        "for pts, b, m, alpha in _profile_cases():",
+        "    got = projection._margulis_profile(pts, b, m, alpha)",
+        "    want = _row_profile(pts, b, m, alpha)",
+        "    print(all(np.array_equal(g, w) for g, w in zip(got, want)))",
+    ])
+    lines = run_under_coretype(coretype, code).split()
+    assert lines == ["True"] * len(_profile_cases())
+
+
+def test_survey_and_profiles_are_charged_before_the_first_tile(monkeypatch):
+    def no_tiles(x):
+        raise AssertionError("a tile was built past the ceiling")
+
+    monkeypatch.setattr(projection, "_pair_tiles", no_tiles)
+    small = FiniteConfig.random_ball(5, seed=0)
+    params = ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-4, egbd=1.0)
+    with pytest.raises(CapacityExceeded, match="r values of the survey"):
+        projection_survey(small, params, np.linspace(0.0, 1.0, 10**7))
+    with pytest.raises(CapacityExceeded, match="truncated-energy profiles"):
+        improvement_step_sim(small, 1.5, 1.0, 0.02, 10**8, 2)
+    # at 2000 points, 3976 r values fit under the ceiling and 3977 do not
+    big = FiniteConfig.random_ball(2000, seed=0)
+    with pytest.raises(AssertionError, match="a tile was built"):
+        projection_survey(big, params, np.linspace(0.0, 1.0, 3976))
+    with pytest.raises(CapacityExceeded):
+        projection_survey(big, params, np.linspace(0.0, 1.0, 3977))
+
+
+def test_uniform_r_grid_is_charged_before_it_is_built(monkeypatch):
+    assert projection.uniform_r_grid(9, 60) == np.linspace(0.0, 1.0, 9).tolist()
+    assert projection.uniform_r_grid(3976, 2000) == np.linspace(0.0, 1.0, 3976).tolist()
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built past the ceiling")
+
+    monkeypatch.setattr(projection.np, "linspace", no_grid)
+    with pytest.raises(CapacityExceeded, match="r values of the survey"):
+        projection.uniform_r_grid(3977, 2000)
+    with pytest.raises(CapacityExceeded):
+        projection.uniform_r_grid(10**12, 5)
