@@ -289,6 +289,12 @@ def cmd_equidist(args) -> int:
 
 def cmd_projection(args) -> int:
     config = _load_theta(args)
+    # the grid first: an r count over the ceiling exits before the n^2 pass
+    # that measures egbd
+    if args.r_grid is not None:
+        grid = _float_list(args.r_grid)
+    else:
+        grid = projection.uniform_r_grid(args.r_count, len(config))
     params = projection.ProjectionParams.measured(
         config,
         alpha=args.alpha,
@@ -296,10 +302,6 @@ def cmd_projection(args) -> int:
         b=args.b,
         eps=args.pvare,
     )
-    if args.r_grid is not None:
-        grid = _float_list(args.r_grid)
-    else:
-        grid = projection.uniform_r_grid(args.r_count, len(config))
     result = projection.projection_survey(config, params, grid, survey_const=args.C, survey_exp=args.c)
     obj = _json_obj(result)
     obj["params"] = _json_obj(params)

@@ -158,6 +158,15 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
         assert "too large to reduce in float64" in captured.err
 
 
+def test_an_oversized_r_count_exits_before_measuring_the_configuration(monkeypatch, capsys):
+    def no_measure(*args, **kwargs):
+        raise AssertionError("the configuration was measured past the ceiling")
+
+    monkeypatch.setattr(opplab.projection.ProjectionParams, "measured", no_measure)
+    assert main(["projection", "--random-theta", "20000", "--r-count", "1000000"]) == 1
+    assert "r values of the survey" in capsys.readouterr().err
+
+
 def test_an_array_numpy_cannot_allocate_exits_1(monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.1 PiB for an array")
