@@ -5,10 +5,10 @@ enumeration its scanned pairs and candidates (per call), the certified
 approximation search its entry walk and its candidates (per search), a
 ball walk its coefficient slots (per walk, counted only when the walk's box
 could pass the ceiling) and the pairwise kernel the pairs of a
-configuration.  Four loops charge all their items before the first: in
-scanned-pair units, the Siegel samples of one siegel_average call and the
-Monte Carlo samples of one main_term_constant call; in point pairs, the r
-values of one projection_survey and the truncated-energy profiles of one
+configuration.  Four loops charge all their items before the first, in
+scanned-pair units: the Siegel samples of one siegel_average call, the
+Monte Carlo samples of one main_term_constant call, the r values of one
+projection_survey and the truncated-energy profiles of one
 improvement_step_sim.  All of them stop at ``DEFAULT_CEILING``.
 """
 
