@@ -188,9 +188,8 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     iteration count is capped; hitting the cap leaves a partially reduced
     basis, which only costs enumeration speed, never correctness.  A
     transform entry beyond the int64 range raises CapacityExceeded, and so
-    does a reduction that fails because a squared column norm is not
-    finite in float64 (an entry past about 1e154).  A reduction that fails
-    on a NaN or infinite entry raises ValueError.
+    does a basis too large to scale into float64 (below).  A NaN or
+    infinite entry raises ValueError.
 
     A 3x3 basis runs the unrolled body ``_lll_3d``; any other size runs
     ``_lll_general``, whose one caller is the 7-D candidate lattice of
@@ -198,26 +197,43 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     deleted).  Both take the same steps with the same sums and so return
     the same bits; tests/test_lattice.py pins both to the numpy reference
     ``_reference_lll_reduce`` and to each other.
+
+    A basis whose squared column norms overflow float64 (entries past about
+    1.3e154) is reduced scaled by an exact power of two, 2^-e with e the
+    binary exponent of its largest entry, and scaled back: the steps of the
+    body compare ratios and round quotients, which the scale does not move,
+    so the result is the reduction of the basis as if float64 had no top.
+    The scale is exact only if no entry leaves the normal range; a basis
+    whose entries span more binades than that raises CapacityExceeded.
+    Every basis whose squared norms fit is reduced unscaled, bit for bit.
     """
     B = np.array(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"expected a square basis matrix, got shape {B.shape}")
+    cols = B.T.tolist()
+    scale = 0
+    if not all(math.isfinite(_dot(c, c)) for c in cols):
+        if not np.isfinite(B).all():
+            raise ValueError("basis has a non-finite entry")
+        scale = math.frexp(float(np.abs(B).max()))[1]
+        scaled = np.ldexp(B, -scale)
+        if not np.array_equal(np.ldexp(scaled, scale), B):
+            raise CapacityExceeded(
+                "basis is too large to reduce in float64: a squared column norm is not "
+                "finite, and its entries span too many binades to scale"
+            )
+        B = scaled
+        cols = B.T.tolist()
     if abs(np.linalg.det(B)) == 0.0:
         raise ValueError("basis is singular")
     body = _lll_3d if B.shape[1] == 3 else _lll_general
-    try:
-        cols, U = body(B.T.tolist())
-    except (ValueError, OverflowError):
-        # round() met a NaN or infinite mu.  A basis whose squared norms
-        # overflow may still reduce, and then returns as before.
-        if not np.isfinite(B).all():
-            raise ValueError("basis has a non-finite entry") from None
-        if all(math.isfinite(_dot(c, c)) for c in B.T.tolist()):
-            raise
-        raise CapacityExceeded(
-            "basis is too large to reduce in float64: a squared column norm is not finite"
-        ) from None
-    return _reduced_arrays(cols, U)
+    cols, U = body(cols)
+    reduced, transform = _reduced_arrays(cols, U)
+    if scale:
+        reduced = np.ldexp(reduced, scale)
+        if not np.isfinite(reduced).all():
+            raise CapacityExceeded("LLL-reduced basis is too large for float64")
+    return reduced, transform
 
 
 def _basis3(basis) -> np.ndarray:

@@ -74,11 +74,25 @@ def chunk_sizes(total: int, target: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-def uniform_ball(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    """n points uniform in the unit ball of R^dim (direction times radius^(1/dim))."""
-    x = rng.normal(size=(n, dim))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    x *= rng.random(n)[:, None] ** (1.0 / dim)
+def uniform_ball(
+    rng: np.random.Generator, n: int, dim: int = 3, out: np.ndarray | None = None
+) -> np.ndarray:
+    """n points uniform in the unit ball of R^dim (direction times radius^(1/dim)).
+
+    The points are drawn into ``out`` (an (n, dim) float64 array) when one is
+    given, so a caller that draws many chunks reuses one buffer; it is then
+    returned.  The draws and their bits are the same either way: the norms
+    are summed column by column, the order np.linalg.norm's reduction takes
+    over so few columns, and the one temporary holds the norms, then the
+    radii.
+    """
+    x = rng.standard_normal((n, dim), out=out)
+    r = np.multiply(x[:, 0], x[:, 0])
+    for c in range(1, dim):
+        r += x[:, c] * x[:, c]
+    x /= np.sqrt(r, out=r)[:, None]
+    rng.random(out=r)
+    x *= np.power(r, 1.0 / dim, out=r)[:, None]
     return x
 
 

@@ -265,35 +265,101 @@ def test_count_values_past_the_float_range_scans_whole_rows():
             assert count_values(form, a, b, 4.0) == brute_count(form, a, b, 4.0)
 
 
+def window_hit_set(form, a, b, T):
+    counter = errors._Capacity(enumeration._WORK)
+    blocks = list(enumeration._window_hits(form, a, b, T * T, counter))
+    if not blocks:
+        return {}
+    v = np.concatenate([blk[0] for blk in blocks]).tolist()
+    vals = np.concatenate([blk[1] for blk in blocks]).tolist()
+    found = dict(zip(map(tuple, v), vals))
+    assert len(found) == len(v)  # no vector twice
+    return found
+
+
 def test_window_hits_block_layout_matches_default(monkeypatch):
-    # a budget of a few pairs puts every row in a block of its own
+    # a budget of 7 entries puts every row in blocks of its own and splits
+    # each row wider than 7 columns into column chunks; stage 2 then runs on
+    # 3 pairs at a time
     forms = [
-        SQF2.form,
-        TernaryForm(0.3, -0.9, 1.7, 0.4, -1.1, 0.2),
+        SQF2.form,  # p22 < 0: live columns
+        TernaryForm(0.3, -0.9, 1.7, 0.4, -1.1, 0.2),  # p22 > 0: whole rows
         TernaryForm(0.0, 0.0, 0.0, 1.0, 0.5, 0.0),  # linear branch
     ]
+    default = [window_hit_set(form, -1.0, 1.0, 12.5) for form in forms]
+    layouts = []
+    blocks = enumeration._blocks
 
-    def hits(form):
-        counter = errors._Capacity(enumeration._WORK)
-        blocks = list(enumeration._window_hits(form, -1.0, 1.0, 12.5**2, counter))
-        v = np.concatenate([blk[0] for blk in blocks]).tolist()
-        vals = np.concatenate([blk[1] for blk in blocks]).tolist()
-        found = dict(zip(map(tuple, v), vals))
-        assert len(found) == len(v)  # no vector twice
-        return len(blocks), found
+    def recorded(lo, hi):
+        layouts.append(blocks(lo, hi))
+        return layouts[-1]
 
-    default = [hits(form) for form in forms]
-    monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", 3)
-    for form, (n_blocks, want) in zip(forms, default):
-        got_blocks, got = hits(form)
-        assert got_blocks > n_blocks
+    monkeypatch.setattr(enumeration, "_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(enumeration, "_EXACT_PAIRS", 3)
+    monkeypatch.setattr(enumeration, "_blocks", recorded)
+    for form, want in zip(forms, default):
+        layouts.clear()
+        got = window_hit_set(form, -1.0, 1.0, 12.5)
         assert got == want
         assert len(got) == brute_count(form, -1.0, 1.0, 12.5)
+        (layout,) = layouts
+        assert all((r1 - r0) * (c1 - c0 + 1) <= 7 for r0, r1, c0, c1 in layout)
+        firsts = [r0 for r0, _, _, _ in layout]
+        assert len(firsts) > len(set(firsts))  # some row is split into chunks
+
+
+def stage1_p22(form):
+    # the v^2 coefficient of stage 1's discriminant, signs as in _window_hits
+    m = form.matrix
+    k = int(np.argmax(np.abs(np.diag(m))))
+    _, j = (ax for ax in range(3) if ax != k)
+    return m[j, k] ** 2 - abs(m[k, k]) * math.copysign(1.0, m[k, k]) * m[j, j]
+
+
+def test_window_hits_random_forms_brute_oracle():
+    # stage 1 keeps every pair with a hit: random forms with cross terms,
+    # both signs of p22 (live columns or whole rows), windows of both signs
+    rng = np.random.default_rng(41)
+    signs = []
+    for n in range(40):
+        form = TernaryForm(*rng.normal(size=6))
+        signs.append(stage1_p22(form) < 0)
+        a = float(rng.uniform(-3.0, 1.0))
+        b = a + float(rng.uniform(0.0, 2.0)) * (n % 4 != 0)  # every fourth window is a point
+        T = float(rng.uniform(4.0, 11.0))
+        got = window_hit_set(form, a, b, T)
+        assert len(got) == brute_count(form, a, b, T), (form.entries, a, b, T)
+        for v, val in got.items():
+            assert val == form.evaluate(v) and a <= val <= b
+    assert 10 <= sum(signs) <= 30
+
+
+def test_window_hits_edge_column_of_a_row_holds_a_hit(monkeypatch):
+    # Q = -3u^2 + v^2 + 4w^2 on the window [-2, -2]: in row u = 1 the
+    # discriminant 4 (3 u^2 - 2 - v^2) is exactly 0 at v = -1 and v = 1, the
+    # ends of the row's live columns, and the double root w = 0 is an
+    # integer, so (1, -1, 0) and (1, 1, 0) are hits on those ends
+    form = TernaryForm(-3.0, 1.0, 4.0)
+    assert stage1_p22(form) < 0
+    ranges = []
+    live_columns = enumeration._live_columns
+
+    def recorded(*args):
+        ranges.append(live_columns(*args))
+        return ranges[-1]
+
+    monkeypatch.setattr(enumeration, "_live_columns", recorded)
+    got = window_hit_set(form, -2.0, -2.0, 7.0)
+    (lo, hi), = ranges
+    assert (lo[1], hi[1]) == (-1.0, 1.0)
+    assert {(1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)} <= set(got)
+    assert len(got) == brute_count(form, -2.0, -2.0, 7.0)
 
 
 def test_count_pass_stays_within_memory_budget():
-    # one T = 2000 pass holds one block's scratch rows at a time: 0.85 MiB
-    # traced at 8,192 pairs per block, 1.6 MiB at 16,384, 6.1 MiB at 65,536
+    # one T = 2000 pass holds one block's scratch arrays and one stage-2 run
+    # at a time: 0.76 MiB traced at 2^13 entries per block, 1.06 MiB at 2^14,
+    # 1.58 MiB at 2^15
     count_values(SQF2, -1.0, 1.0, 50.0)  # warm up lazily built numpy state
     tracemalloc.start()
     try:

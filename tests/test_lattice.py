@@ -82,6 +82,28 @@ def test_lll_non_finite_entry_raises_value_error(n, bad):
         lll_reduce(basis)
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_lll_reduces_bases_whose_squared_norms_overflow(n):
+    # columns of entries near 1.3e154 square past float64; such a basis is
+    # reduced scaled by a power of two, so it returns what the same basis
+    # scaled by 2^-600 returns, scaled back, bit for bit
+    rng = np.random.default_rng(60 + n)
+    bases = [rng.normal(size=(n, n)) * 1.3e154 for _ in range(30)]
+    overflowing = [b for b in bases if not np.isfinite(np.einsum("ij,ij->j", b, b)).all()]
+    assert len(overflowing) >= 10
+    for b in bases:
+        red, u = lll_reduce(b)
+        red_small, u_small = lll_reduce(np.ldexp(b, -600))
+        np.testing.assert_array_equal(u, u_small)
+        np.testing.assert_array_equal(red, np.ldexp(red_small, 600))
+
+
+def test_lll_refuses_an_overflowing_basis_it_cannot_scale_exactly():
+    # 1e-200 leaves the normal range when 1e200 is scaled below 1
+    with pytest.raises(CapacityExceeded, match="too large to reduce in float64"):
+        lll_reduce(np.diag([1e200, 1e-200, 1.0]))
+
+
 def test_enumerate_ball_matches_brute_box():
     rng = np.random.default_rng(23)
     for _ in range(15):
