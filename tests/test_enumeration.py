@@ -350,7 +350,7 @@ def test_window_hits_edge_column_of_a_row_holds_a_hit(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_live_columns", recorded)
     got = window_hit_set(form, -2.0, -2.0, 7.0)
-    (lo, hi), = ranges
+    [(lo, hi)] = ranges
     assert (lo[1], hi[1]) == (-1.0, 1.0)
     assert {(1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)} <= set(got)
     assert len(got) == brute_count(form, -2.0, -2.0, 7.0)
