@@ -93,10 +93,10 @@ class ApproxResult:
 # rows of one scored tile: bounds the length of every scoring temporary
 _TILE_ROWS = 1 << 16
 
-#: What one m11 step of _search_boxes charges, in candidates: both walks over
-#: a step, with the boxes it yields, take about 150 us (SQF2 at R = 10^4),
-#: against about 150 ns to score a candidate.  A search charges its r + 1
-#: steps before the first walk.
+#: What one m11 step of _search_boxes charges, in candidates: the walk over
+#: a step takes about 20 us (SQF2 at R = 10^4, 2 cores), against about
+#: 150 ns to score a candidate, so 1,000 leaves room for slower hosts.  A
+#: search charges its r + 1 steps before it walks.
 _STEP_WORK = 1_000
 
 
@@ -219,14 +219,15 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
     # ulps of the largest |q_i|; the pad is far above that, so no form that
     # scores at most the incumbent is pruned
     d = incumbent + 1e-9 * (incumbent + float(np.max(np.abs(q6))))
-    # the walk and then every box are charged to the work ceiling before any
-    # tile is built
+    # the walk is charged to the work ceiling before it runs, and every box
+    # before any tile is built
     tally = _Capacity(f"candidates of the certified search at R={r}")
     tally.add(_STEP_WORK * (r + 1))
-    for ranges in _search_boxes(q6, r, d):
+    boxes = list(_search_boxes(q6, r, d))
+    for ranges in boxes:
         tally.add(math.prod(hi - lo + 1 for lo, hi in ranges))
     best: Optional[tuple[float, tuple[int, ...]]] = None
-    for ranges in _search_boxes(q6, r, d):
+    for ranges in boxes:
         for m in _box_tiles(ranges):
             res = _best_row(q6, m)
             if res is not None and (best is None or res < best):

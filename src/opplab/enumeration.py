@@ -31,38 +31,36 @@ all outputs are deterministic.
 Candidate generation is a superset pass followed by an exact membership
 mask that reevaluates the form the same way a brute-force oracle would;
 counts therefore match plain loops bit for bit.  The superset comes from a
-proven rounding margin, not from padding each interval by an integer.  The
-window is widened by 16 eps ((rho + rho^2/alpha) T^2 + |a| + |b|), with
-eps = 2^-53, rho the largest row sum of |M| and alpha the pruned diagonal
-entry.  That bounds the rounding of form.evaluate and of the discriminant
-arithmetic at every point of the ball.  So the computed discriminant of
-the widened window never falls below the exact one of any window the
-rounded values can reach, and no row or hole test drops a hit.  The roots
-are then padded by 8 eps ((rho (T + 1) + S)/alpha + T + 2), where S bounds
-the square roots, and the integer ends are ceil/floor of the padded roots
-(_rounding_margin has the derivation).  An integer w falls within the pad
-of a root only where Q takes, or nearly takes, a window end, as at a
-tangency; the margin keeps such a w and the exact mask decides it.
+proven rounding margin, not from padding each interval by an integer.  On
+the quadratic branch the condition on w is written as (alpha w + half)^2 in
+[P + k_lo, P + k_hi], with P = p11 u^2 + p12 u v + p22 v^2 a binary form in
+the outer coordinates (u, v) and mid = -half/alpha linear in them.  The
+window is widened by twice the margin 16 eps ((rho + rho^2/alpha) T^2 + |a|
++ |b|), with eps = 2^-53, rho the largest row sum of |M| and alpha the
+pruned diagonal entry, and the roots are padded by about 24 eps ((rho (T +
+1) + S)/alpha) + 8 eps (T + 2), where S bounds the square roots.  One
+margin already bounds the rounding of form.evaluate and of P at every point
+of the ball, so every hit's w lies in one of the two segments mid -+ [s_lo,
+s_hi] that the code computes (_rounding_margin has the derivation).  An
+integer w falls within the pad of a root only where Q takes, or nearly
+takes, a window end, as at a tangency; the margin keeps such a w and the
+exact mask decides it.
 
-That per-pair arithmetic costs about 60 numpy passes a pair, while nearly
-every pair of a narrow window has no candidate.  So the scan runs in two
-stages.  Stage 1 writes the condition on w as (alpha w + half)^2 in
-[P + alpha c_lo, P + alpha c_hi], with P = p11 u^2 + p12 u v + p22 v^2 a
-binary form and mid = -half/alpha linear in (u, v), builds P and mid on a
-block of rows by columns from per-row and per-column vectors, and keeps a
-pair where one of its two segments mid -+ [s_lo, s_hi] may hold an integer
-(about 20 passes).  Where p22 < 0 the discriminant is not negative on one
-interval of each row only, found once per row, and stage 1 scans just
-those columns.  Stage 2 runs the arithmetic above on the kept pairs.
-Stage 1 widens the window by the margin once more and pads its segments by
-the prune pad, so each of its intervals holds the exact stage's unclipped
-padded one (_rounding_margin and _live_columns have the derivations).  A
-pair stage 1 drops has no candidate but those the ball clip collapses onto
-w = +-wl when every root lies outside the ball, and they are never hits.
+Nearly every pair of a narrow window has no candidate, so the scan runs in
+two stages.  Stage 1 builds P and mid on a block of rows by columns from
+per-row and per-column vectors, computes each pair's s_lo and s_hi, and
+keeps a pair where one of its segments may hold an integer (about 20
+passes).  Where p22 < 0 the upper end P + k_hi is not negative on one
+interval of each row only, found once per row, and stage 1 scans just those
+columns (_live_columns).  Stage 2 takes the kept pairs' mid, s_lo and s_hi,
+clips the two segments to the ball and evaluates the integers in them.  The
+linear branch (alpha near 0) and a margin past the float range have no
+stage 1; there stage 2 derives each pair's interval itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -78,15 +76,19 @@ from .util import chunk_sizes, spawn_rngs, uniform_ball, weighted_mean_stderr
 #: evaluates, summed over the passes of the call.  Each pass charges its
 #: whole disc before its first block, so a T too large for the ceiling
 #: raises at once instead of after the scan.  Only the pairs stage 1 keeps
-#: charge candidates, so a pair whose padded roots all lie outside the
-#: ball, and whose ball clip collapsed them onto w = +-wl (never a hit),
-#: no longer charges one.
+#: charge candidates: the integers of their segments, clipped to the ball.
 _WORK = "scanned pairs and candidates of the window enumeration"
 
 #: What one Monte Carlo sample of main_term_constant charges, in the same
 #: unit: about three scanned pairs' time (10^6 samples in 0.17 s against
 #: 70 ns a pair).  A call charges all its samples before its first chunk.
 _SAMPLE_WORK = 3
+
+#: What one target of witness_table charges per shell, in the same unit: a
+#: shell compares every open target with its hits, about 3.2 us a target
+#: (10 to 100 hits a shell) against 70 ns a pair.  A call charges all its
+#: targets, over every shell up to T, before it builds the grid.
+_TARGET_WORK = 50
 
 #: Most entries (rows x columns) of one block of _window_hits: stage 1 runs
 #: in four float and two bool scratch arrays of this many entries (544 KiB),
@@ -97,7 +99,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 #: Most (u, v) pairs of one stage-2 call of _window_hits.  Stage 2 runs once
 #: an eighth of this many pairs is kept, not once per block: a call costs
-#: about 75 numpy passes, and holds about 400 bytes of temporaries a pair.
+#: about 70 numpy passes, and holds about 250 bytes of temporaries a pair.
 _EXACT_PAIRS = 1 << 11
 
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -156,9 +158,18 @@ class WitnessTable:
         return sum(r is not None for r in self.records)
 
 
-def _grid(s_min: float, s_max: float, step: float) -> list[float]:
-    n = int(math.floor((s_max - s_min) / step + 1e-9)) + 1
-    return [s_min + i * step for i in range(n)]
+def _grid(s_min: float, s_max: float, step: float, shells: int) -> list[float]:
+    """The targets s_min + i step up to s_max, charged to the ceiling before they are built.
+
+    The count is taken in floats, so a grid past the int range (inf
+    included) raises instead of overflowing.
+    """
+    span = (s_max - s_min) / step + 1e-9
+    n = math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+    _Capacity(f"scanned-pair units of {n:.6g} witness targets in {shells} shells").add(
+        n * shells * _TARGET_WORK
+    )
+    return [s_min + i * step for i in range(int(n))]
 
 
 def witness_table(
@@ -173,9 +184,11 @@ def witness_table(
     new shell; no inner radius is needed.  The ceiling bounds the (u, v)
     pairs plus the candidates of those passes, summed over the shells
     walked; each shell charges its disc before scanning it, so the shell
-    that would cross the ceiling raises before it starts.  The search stops
-    as soon as every target is witnessed, so easy targets never pay for the
-    full ball of radius T.
+    that would cross the ceiling raises before it starts.  The targets
+    themselves are charged to a tally of their own, each over every shell
+    up to T, before the grid is built (_grid).  The search stops as soon as
+    every target is witnessed, so easy targets never pay for the full ball
+    of radius T.
     """
     form = as_form(q)
     if not step > 0:
@@ -186,14 +199,15 @@ def witness_table(
         raise ValueError(f"T must be finite and >= 1, got {T}")
     if not -math.inf < s_min <= s_max < math.inf:
         raise ValueError(f"need finite s_min <= s_max, got {s_min}, {s_max}")
-    targets = _grid(s_min, s_max, step)
+    shells = list(_shell_windows(T))
+    targets = _grid(s_min, s_max, step, len(shells))
     records: list[Optional[WitnessRecord]] = [None] * len(targets)
     # a superset of every target's window; |Q(v) - s| <= eps decides below
     pad = eps * 1e-9 + 1e-300
     win_lo, win_hi = targets[0] - eps - pad, targets[-1] + eps + pad
     counter = _Capacity(_WORK)
 
-    for hi2 in _shell_windows(T):
+    for hi2 in shells:
         blocks = list(_window_hits(form, win_lo, win_hi, hi2, counter))
         if not blocks:
             continue
@@ -233,63 +247,51 @@ def find_witness(q, s: float, eps: float, T: float) -> Optional[WitnessRecord]:
 
 def _rounding_margin(
     M: np.ndarray, alpha: float, quad: bool, a: float, b: float, T2: float, tol: float
-) -> tuple[float, float, float, bool]:
-    """(value margin, root pad, prune pad, bounded) for the intervals of _window_hits.
+) -> tuple[float, float, bool]:
+    """(value margin, pad, bounded) for the w-intervals of _window_hits.
 
     One bound serves every (u, v) of the disc: it is taken at the worst point
     of the ball, which costs nothing per pair and widens each interval by far
     less than one integer.  With eps = 2^-53, rho the largest row sum of |M|
-    (so |x|^T |M| |x| <= rho |x|^2) and every |x|^2 <= T2:
+    (so |x|^T |M| |x| <= rho |x|^2), every |x|^2 <= T2, R = sqrt(T2) + 1 and
+    the signs of _window_hits (alpha > 0 on the quadratic branch):
 
-    * form.evaluate rounds Q(x) by at most 5 eps rho T2;
-    * half and gamma carry at most 2 and 4 roundings of terms bounded by
-      rho sqrt(T2) and rho T2;
-    * the discriminant half^2 - alpha gamma + alpha c, divided by alpha,
-      then errs by less than 8 eps (rho^2 / alpha + rho) T2 + 3 eps |c|.
+    A hit x = (u, v, w) has form.evaluate(x) in [a, b], and form.evaluate
+    rounds Q(x) by at most 5 eps rho T2.  So in exact arithmetic on the
+    float entries alpha w^2 + 2 half w + gamma lies in [w_lo - e, w_hi + e],
+    e = 5 eps rho T2, and (alpha w + half)^2 lies in [P + alpha (w_lo - e),
+    P + alpha (w_hi + e)], with P = half^2 - alpha gamma = p11 u^2 + p12 u v
+    + p22 v^2.  Let A = (rho^2 + alpha rho) T2 bound the sum of the absolute
+    terms of P.  Stage 1 computes P (3 roundings in the coefficients, 4 in
+    the assembly) with an error below 7 eps A, and adds k_lo = alpha (w_lo -
+    2 margin) or k_hi = alpha (w_hi + 2 margin), each 3 roundings of at most
+    alpha (|a| + |b| + 2 margin), before one last rounding of the sum.  The
+    margin, 16 eps ((rho + rho^2 / alpha) T2 + |a| + |b|), times alpha
+    already exceeds e alpha and all these errors, so the computed upper sum
+    is at least the exact upper end, and the computed lower sum, clipped at
+    0 (no hole), at most the exact lower end clipped at 0.  Their correctly
+    rounded square roots times the rounded 1 / alpha err by at most 3
+    roundings of S / alpha, S bounding every square root (S^2 = 4 (rho^2 T2
+    + alpha (|a| + |b| + margin))), and mid = -half / alpha, summed from
+    per-row and per-column products, by at most 4 of M = rho R / alpha.
+    The quadratic pad, 8 eps (reach + R + 1) + 16 eps (reach + 8 eps (reach
+    + R + 1)) with reach = M + S / alpha, plus a tiny absolute term for
+    underflow, covers those errors and the roundings of s -+ pad more than
+    twice.  So s_hi = root + pad and s_lo = root - pad hold every hit's w in
+    mid -+ [s_lo, s_hi] in real arithmetic on the computed mid, s_lo and
+    s_hi.  Every integer there is a float, and rounding is monotone, so the
+    computed ends mid -+ s of those segments, and stage 1's test that one
+    of them holds an integer, never lose one.  Neither does the ball clip:
+    a hit's w^2 is at most T2 - u^2 - v^2, so |w| is at most its computed
+    square root.
 
-    The margin, 16 eps ((rho + rho^2 / alpha) T2 + |a| + |b|), covers their
-    sum: the computed discriminant of the widened window is at least the
-    exact one of the window widened by the evaluate error, so the nonempty
-    test never drops a row whose rounded values can reach [a, b], and the
-    hole test (on the narrowed window) never removes a value that can.  The
-    root pad, 8 eps ((rho R + S) / alpha + R + 1) with R = sqrt(T2) + 1 and
-    S bounding every sqrt of a discriminant, covers the rounding of half,
-    of the square root, of the products by 1/alpha and of mid -+ s; its
-    relative part is taken at the edge of the ball, because a root past the
-    edge is clipped to it.  The linear branch (|alpha| <= tol) keeps its
-    classification blur tol (T2 + 2 sqrt(T2)): dropping alpha w^2, and
-    2 half w where |half| <= tol, moves a value by no more.  A tiny
-    absolute term covers underflow.  ``bounded`` is False when a bound
-    leaves the float range; the caller then scans whole rows.
-
-    The prune pad serves stage 1 of the quadratic branch, which must keep
-    every pair whose exact stage (the arithmetic above) has an integer in
-    one of its padded, unclipped intervals.  Stage 1 takes the discriminant
-    as P(u, v) + k, P = p11 u^2 + p12 u v + p22 v^2, on the window widened
-    by the margin once more: k = alpha (c_lo - margin), alpha (c_hi +
-    margin).  Let A = (rho^2 + alpha rho) T2 bound the sum of the absolute
-    terms of P, which are those of half^2 - alpha gamma.  The exact stage's
-    half^2 - alpha gamma and stage 1's P (3 roundings in the coefficients,
-    4 in the assembly) each err by less than 7 eps A, and alpha c and k by
-    1 and 2 roundings of at most alpha (|c| + margin).  Together that is
-    less than alpha margin, so stage 1's sum P + k is at least the exact
-    stage's sum at the upper end and at most at the lower end (clipped at
-    0, where the exact stage has no hole).  Rounding is monotone, so the
-    same order holds after the last rounding of the sums, their square
-    roots and their products by the same 1/alpha.  Stage 1 pads s_hi up and
-    s_lo down by the prune pad, pad + 16 eps (M + S + pad), with
-    M = rho R / alpha bounding |mid| and S / alpha every s; the exact
-    stage pads by pad.  The two mids each carry four roundings of terms
-    bounded by M, so they differ by less than 8 eps M; the exact stage's
-    mid -+ s rounds once more, by at most eps (M + S + pad); and the pads
-    themselves round by 2 eps (S + prune pad).  The rest of the prune pad
-    covers these, so each interval of stage 1 holds the exact stage's.
-    Stage 1's last steps, floor(mid + s_hi) - mid >= s_lo for an integer
-    in [mid + s_lo, mid + s_hi] and its mirror image for [mid - s_hi,
-    mid - s_lo], are monotone in the same way and never lose an integer
-    the real intervals hold.  So a pair stage 1 drops has no candidate but
-    those the ball clip collapses onto w = +-wl, when every root of the
-    pair lies outside the ball, and they are never hits.
+    The linear branch (|alpha| <= tol) widens the window by the margin 16
+    eps (rho T2 + |a| + |b|) plus its classification blur tol (T2 + 2 R):
+    dropping alpha w^2, and 2 half w where |half| <= tol, moves a value by
+    no more.  Its pad, 8 eps (R + 1), covers the roundings of the roots
+    (c - gamma) / (2 half) inside the ball; a root past its edge is clipped
+    to it.  ``bounded`` is False when a bound leaves the float range; the
+    caller then scans whole rows.
     """
     rho = float(np.abs(M).sum(axis=1).max())
     R = math.sqrt(T2) + 1.0
@@ -298,15 +300,14 @@ def _rounding_margin(
         margin = 16.0 * _EPS * ((rho + rho * rho / alpha) * T2 + window) + _TINY
         S2 = 4.0 * (rho * rho * T2 + alpha * (window + margin))
         reach = (rho * R + math.sqrt(S2)) / alpha
-        pad = 8.0 * _EPS * (reach + R + 1.0)
-        prune_pad = pad + 16.0 * _EPS * (reach + pad) + _TINY
-        bounded = math.isfinite(S2) and math.isfinite(prune_pad / _EPS)
+        root_pad = 8.0 * _EPS * (reach + R + 1.0)
+        pad = root_pad + 16.0 * _EPS * (reach + root_pad) + _TINY
+        bounded = math.isfinite(S2) and math.isfinite(pad / _EPS)
     else:
         margin = 16.0 * _EPS * (rho * T2 + window) + tol * (T2 + 2.0 * R) + _TINY
         pad = 8.0 * _EPS * (R + 1.0)
-        prune_pad = math.nan  # no stage 1: every pair goes to the exact stage
         bounded = math.isfinite(margin / (_EPS * tol))
-    return margin, pad, prune_pad, bounded
+    return margin, pad, bounded
 
 
 def _live_columns(
@@ -315,19 +316,19 @@ def _live_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float columns [lo, hi] of each row u that stage 1 must scan, for p22 < 0.
 
-    A pair can hold a candidate only where p11 u^2 + p12 u v + p22 v^2 + k_hi
-    is not negative in exact arithmetic on these float coefficients: where
-    the exact stage's upper discriminant is not negative, this one is
-    larger, by the argument of _rounding_margin with only the coefficients'
-    roundings.  With n = -p22 > 0 that is the interval (v - vc)^2 <= h^2,
-    vc = p12 u / (2 n), h^2 = (p11 u^2 + k_hi) / n + vc^2.  The float vc
-    errs by 3 roundings (3 eps |vc|) and h^2 by less than 9 eps (r / n +
-    vc^2), r = |p11| u^2 + |k_hi|.  16 eps (r / n + vc^2), added to h^2
-    before its root, and then 8 eps (|vc| + h) plus a tiny term for
-    underflow, added to h, cover those errors and the roundings of the
-    root, of h and of vc -+ h.  A row whose widened h^2 is negative has no
-    candidate; lo > hi marks it.  A bound that leaves the float range (n
-    near 0) keeps the whole row.
+    A pair can hold a hit only where p11 u^2 + p12 u v + p22 v^2 + k_hi is
+    not negative in exact arithmetic on these float coefficients: by the
+    argument of _rounding_margin with only the coefficients' roundings, it
+    is at least the exact upper end P + alpha (w_hi + e), which is at least
+    a hit's (alpha w + half)^2 >= 0.  With n = -p22 > 0 that is the
+    interval (v - vc)^2 <= h^2, vc = p12 u / (2 n), h^2 = (p11 u^2 + k_hi)
+    / n + vc^2.  The float vc errs by 3 roundings (3 eps |vc|) and h^2 by
+    less than 9 eps (r / n + vc^2), r = |p11| u^2 + |k_hi|.  16 eps (r / n
+    + vc^2), added to h^2 before its root, and then 8 eps (|vc| + h) plus a
+    tiny term for underflow, added to h, cover those errors and the
+    roundings of the root, of h and of vc -+ h.  A row whose widened h^2 is
+    negative has no candidate; lo > hi marks it.  A bound that leaves the
+    float range (n near 0) keeps the whole row.
     """
     n = -p22
     with np.errstate(all="ignore"):
@@ -385,23 +386,24 @@ def _window_hits(
     u = v = 0 and w > 0 is scanned, and each hit is yielded with its mirror
     image -v: every term of form.evaluate has even degree, so it rounds
     Q(-v) to the same bits as Q(v).  The innermost coordinate w (the one
-    with the largest |diagonal| entry) is pruned with the quadratic formula
-    on a window widened by _rounding_margin, and the candidates then pass
-    through an exact evaluate-and-compare mask, so the hits match a
-    brute-force triple loop exactly.
+    with the largest |diagonal| entry) is pruned to intervals that hold
+    every hit (_rounding_margin), and the candidates then pass through an
+    exact evaluate-and-compare mask, so the hits match a brute-force triple
+    loop exactly.
 
     The half disc of the two outer coordinates (u, v) is scanned in 2-D
     blocks of rows by columns (_blocks), in two stages.  Stage 1 (quadratic
-    branch) tests every pair of a block with a few broadcast passes over
-    per-row and per-column vectors and keeps the pairs whose padded
-    intervals may hold an integer; where p22 < 0 it scans only each row's
-    live columns (_live_columns).  Stage 2 (exact) runs the per-pair
-    arithmetic on the kept pairs: roots, ball clip, candidates and the
-    exact mask.  The linear branch and a bound past the float range keep
-    every pair of the disc.  The call itself charges the disc's pairs to
-    the counter, before any block is scanned; the candidates of the kept
-    pairs are charged before they are built.  Stage 1 computes in four
-    float and two bool scratch arrays allocated once per pass.
+    branch) computes every pair's mid, s_lo and s_hi with a few broadcast
+    passes over per-row and per-column vectors and keeps the pairs where
+    one of the segments mid -+ [s_lo, s_hi] may hold an integer; where
+    p22 < 0 it scans only each row's live columns (_live_columns).  Stage 2
+    builds the candidates of the kept pairs from those two segments,
+    clipped to the ball, and applies the exact mask.  The linear branch and
+    a bound past the float range keep every pair of the disc, and stage 2
+    derives their intervals per pair.  The call itself charges the disc's
+    pairs to the counter, before any block is scanned; the candidates of
+    the kept pairs are charged before they are built.  Stage 1 computes in
+    four float and two bool scratch arrays allocated once per pass.
     """
     M = form.matrix
     k = int(np.argmax(np.abs(np.diag(M))))
@@ -413,7 +415,7 @@ def _window_hits(
     alpha *= sgn
     quad = alpha > tol
     w_lo, w_hi = (-b, -a) if sgn < 0 else (a, b)
-    margin, pad, prune_pad, bounded = _rounding_margin(M, alpha, quad, a, b, T2, tol)
+    margin, pad, bounded = _rounding_margin(M, alpha, quad, a, b, T2, tol)
     c_lo, c_hi = w_lo - margin, w_hi + margin
     m_ik, m_jk = sgn * float(M[i, k]), sgn * float(M[j, k])
     m_ii, m_ij2, m_jj = sgn * float(M[i, i]), sgn * 2.0 * float(M[i, j]), sgn * float(M[j, j])
@@ -427,59 +429,31 @@ def _window_hits(
     counter.add(int((vmax - vmin).sum()) + len(us))
     prune = quad and bounded
 
-    def exact(u_pairs: np.ndarray, v_pairs: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Stage 2: the hits among the candidates of pairs (u, v), or None."""
-        u, v, wl, nwl, half, gamma, tmp, s_hi, s_lo = np.empty((9, len(u_pairs)))
-        u[:] = u_pairs
-        v[:] = v_pairs
-        np.multiply(v, v, out=tmp)
-        np.multiply(u, u, out=wl)
-        wl += tmp
-        np.subtract(T2, wl, out=wl)
-        np.sqrt(np.maximum(wl, 0.0, out=wl), out=wl)  # |w| <= wl inside the ball
-        np.negative(wl, out=nwl)
-        # gamma = m_ii u u + m_ij2 u v + m_jj v^2 and half = m_ik u + m_jk v
-        np.multiply(u, m_ii, out=gamma)
-        gamma *= u
-        np.multiply(u, m_ij2, out=half)
-        half *= v
-        gamma += half
-        tmp *= m_jj
-        gamma += tmp
-        np.multiply(u, m_ik, out=half)
-        np.multiply(v, m_jk, out=tmp)
-        half += tmp
+    def exact(
+        u_pairs: np.ndarray, v_pairs: np.ndarray, *segs: np.ndarray
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Stage 2: the hits among the candidates of pairs (u, v), or None.
 
-        if not bounded:
-            segments = [(np.ceil(nwl), np.floor(wl))]
-        elif quad:
-            # value <= w_hi on mid -+ s_hi; value >= w_lo outside the hole mid -+ s_lo
-            np.multiply(half, half, out=s_lo)
-            gamma *= alpha
-            s_lo -= gamma
-            np.add(s_lo, alpha * c_hi, out=s_hi)
-            s_lo += alpha * c_lo
-            with np.errstate(invalid="ignore"):  # NaN: the row misses the window / has no hole
-                np.sqrt(s_hi, out=s_hi)
-                np.sqrt(s_lo, out=s_lo)
-            s_hi *= 1.0 / alpha
-            s_hi += pad
-            s_lo *= 1.0 / alpha
-            s_lo -= pad
-            mid = half
-            mid *= -1.0 / alpha
-            lo1 = np.subtract(mid, s_hi, out=gamma)
-            hi2 = np.add(mid, s_hi, out=s_hi)
-            hi1 = np.fmin(np.subtract(mid, s_lo, out=tmp), hi2, out=tmp)
-            lo2 = np.add(mid, s_lo, out=s_lo)
+        On the pruned branch segs are stage 1's mid, s_lo and s_hi of each pair.
+        """
+        u, v = u_pairs, v_pairs.astype(float)
+        wl = np.sqrt(np.maximum(T2 - (u * u + v * v), 0.0))  # |w| <= wl inside the ball
+        nwl = -wl
+
+        def clip(lo, hi):
             # integer ends clipped to [-wl, wl]; a NaN start goes to wl and a NaN end to -wl
-            st1 = np.ceil(np.fmax(np.fmin(lo1, wl, out=lo1), nwl, out=lo1), out=lo1)
-            en1 = np.floor(np.fmin(np.fmax(hi1, nwl, out=hi1), wl, out=hi1), out=hi1)
-            en2 = np.floor(np.fmin(np.fmax(hi2, nwl, out=hi2), wl, out=hi2), out=hi2)
+            return np.ceil(np.fmax(np.fmin(lo, wl), nwl)), np.floor(np.fmin(np.fmax(hi, nwl), wl))
+
+        if prune:
+            mid, s_lo, s_hi = segs
+            st1, en1 = clip(mid - s_hi, mid - s_lo)
+            en2 = np.floor(np.fmin(np.fmax(mid + s_hi, nwl), wl))
             # the second segment starts past the first, so no w is counted twice
-            st2 = np.fmax(np.ceil(lo2, out=lo2), np.add(en1, 1.0, out=mid), out=lo2)
+            st2 = np.fmax(np.ceil(mid + s_lo), en1 + 1.0)
             segments = [(st1, en1), (st2, en2)]
-        else:
+        elif bounded:
+            half = u * m_ik + v * m_jk
+            gamma = (u * m_ii) * u + (u * m_ij2) * v + (v * v) * m_jj
             lin = np.abs(half) > tol
             slope = np.where(lin, 2.0 * half, np.nan)
             t_lo = (c_lo - gamma) / slope
@@ -487,10 +461,9 @@ def _window_hits(
             const_ok = ~lin & (gamma >= c_lo) & (gamma <= c_hi)
             lo = np.where(const_ok, -np.inf, np.fmin(t_lo, t_hi) - pad)
             hi = np.where(const_ok, np.inf, np.fmax(t_lo, t_hi) + pad)
-            # a NaN start goes to wl and a NaN end to -wl: the row is empty
-            st = np.ceil(np.fmax(np.fmin(lo, wl), nwl))
-            en = np.floor(np.fmin(np.fmax(hi, nwl), wl))
-            segments = [(st, en)]
+            segments = [clip(lo, hi)]  # a NaN root empties the row
+        else:
+            segments = [clip(nwl, wl)]
 
         picks = []  # (pairs, starts, ends) of nonempty rows, segment by segment
         for st, en in segments:
@@ -519,8 +492,11 @@ def _window_hits(
         hits = cand[keep]
         return np.concatenate((hits, -hits)), np.concatenate((vals[keep], vals[keep]))
 
-    def kept() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Stage 1: block by block, the pairs (u, v) that may hold a candidate."""
+    def kept() -> Iterator[tuple[np.ndarray, ...]]:
+        """Stage 1: block by block, the pairs (u, v) that may hold a candidate.
+
+        On the pruned branch each pair comes with its mid, s_lo and s_hi.
+        """
         lo, hi = vmin, vmax
         if prune:
             # (alpha w + half)^2 in [P + k_lo, P + k_hi], mid = -half / alpha
@@ -561,14 +537,14 @@ def _window_hits(
             s_hi += p11uu[rs, None]
             s_hi += p22vv[cs]
             np.add(s_hi, k_lo, out=s_lo)
-            np.sqrt(np.maximum(s_lo, 0.0, out=s_lo), out=s_lo)  # no hole: s_lo = 0
+            np.sqrt(np.maximum(s_lo, 0.0, out=s_lo), out=s_lo)  # no hole: s_lo = -pad
             s_lo *= inv
-            s_lo -= prune_pad
+            s_lo -= pad
             s_hi += k_hi
             with np.errstate(invalid="ignore"):  # NaN: the pair misses the window
                 np.sqrt(s_hi, out=s_hi)
             s_hi *= inv
-            s_hi += prune_pad
+            s_hi += pad
             np.add(mid_u[rs, None], mid_v[cs], out=mid)
             # an integer in [mid + s_lo, mid + s_hi], or in [mid - s_hi, mid - s_lo]
             np.floor(np.add(mid, s_hi, out=t), out=t)
@@ -576,32 +552,30 @@ def _window_hits(
             np.floor(np.subtract(s_hi, mid, out=t), out=t)
             np.greater_equal(np.add(t, mid, out=t), s_lo, out=ok2)
             ok |= ok2
-            row, col = np.divmod(np.flatnonzero(ok), shape[1])
+            flat = np.flatnonzero(ok)
+            row, col = np.divmod(flat, shape[1])
             row += r0
             v = col + c0
             inside = (v >= lo[row]) & (v <= hi[row])  # the rows' own columns
-            yield rows[row[inside]], v[inside]
-
-    def batches() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # stage 2 on runs of _EXACT_PAIRS / 8 to _EXACT_PAIRS kept pairs
-        run_u, run_v, size = [], [], 0
-        for u, v in kept():
-            run_u.append(u)
-            run_v.append(v)
-            size += len(u)
-            if size >= _EXACT_PAIRS // 8:
-                u, v = np.concatenate(run_u), np.concatenate(run_v)
-                for s in range(0, size, _EXACT_PAIRS):
-                    yield u[s : s + _EXACT_PAIRS], v[s : s + _EXACT_PAIRS]
-                run_u, run_v, size = [], [], 0
-        if size:
-            yield np.concatenate(run_u), np.concatenate(run_v)
+            flat = flat[inside]
+            yield rows[row[inside]], v[inside], mid.take(flat), s_lo.take(flat), s_hi.take(flat)
 
     def scan() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for u, v in batches():
-            found = exact(u, v)
-            if found is not None:
-                yield found
+        # stage 2 on runs of _EXACT_PAIRS / 8 to _EXACT_PAIRS kept pairs;
+        # the closing None sends the last, shorter run
+        run, size = [], 0
+        for part in itertools.chain(kept(), [None]):
+            if part is not None:
+                run.append(part)
+                size += len(part[0])
+                if size < _EXACT_PAIRS // 8:
+                    continue
+            cols = [np.concatenate(col) for col in zip(*run)]
+            for s in range(0, size, _EXACT_PAIRS):
+                found = exact(*(col[s : s + _EXACT_PAIRS] for col in cols))
+                if found is not None:
+                    yield found
+            run, size = [], 0
 
     return scan()
 

@@ -5,11 +5,11 @@ enumeration its scanned pairs and candidates (per call), the certified
 approximation search its entry walk and its candidates (per search), a
 ball walk its coefficient slots (per walk, counted only when the walk's box
 could pass the ceiling) and the pairwise kernel the pairs of a
-configuration.  Four loops charge all their items before the first, in
+configuration.  Five loops charge all their items before the first, in
 scanned-pair units: the Siegel samples of one siegel_average call, the
 Monte Carlo samples of one main_term_constant call, the r values of one
-projection_survey and the truncated-energy profiles of one
-improvement_step_sim.  All of them stop at ``DEFAULT_CEILING``.
+projection_survey, the truncated-energy profiles of one
+improvement_step_sim and the targets of one witness_table.  All of them stop at ``DEFAULT_CEILING``.
 """
 
 #: Hard ceiling on the work of one kernel call (spec default).  A tally
@@ -54,8 +54,9 @@ class _Capacity:
         self.ceiling = DEFAULT_CEILING
         self.used = 0
 
-    def add(self, n: int) -> None:
-        self.used += int(n)
+    def add(self, n: float) -> None:
+        # a float charge stays a float, so one past the int range (inf included) still raises
+        self.used += n if isinstance(n, float) else int(n)
         if self.used > self.ceiling:
             raise CapacityExceeded(
                 f"{self.used} {self.label} exceed the ceiling of {self.ceiling}"

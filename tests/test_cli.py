@@ -148,6 +148,11 @@ def test_golden_json_outputs_parse():
         # r values and profiles over the work ceiling, refused before the first tile
         ["projection", "--random-theta", "5", "--r-count", "10000000"],
         ["margulis", "--random-theta", "5", "--r-samples", "100000000"],
+        # witness grids over the work ceiling, refused before the grid is built:
+        # 2.4e300 targets, a count past the float range, and 1e10 targets
+        ["dichotomy", "--form", SQF2, "--R", "4", "--T", "1e9", "--grid=1e-300"],
+        ["witness", "--form", SQF2, "--s-min=-1e300", "--s-max=1e300", "--grid=1e-300", "--T", "10"],
+        ["witness", "--form", SQF2, "--grid", "1e-9", "--T", "10"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -156,6 +161,8 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
     assert captured.err.startswith("error:")
     if argv[:1] == ["equidist"] and argv[4] in HUGE_T:
         assert "too large to reduce in float64" in captured.err
+    if any(arg.startswith("--grid") for arg in argv):
+        assert "witness targets" in captured.err and "ceiling" in captured.err
 
 
 def test_an_oversized_r_count_exits_before_measuring_the_configuration(monkeypatch, capsys):

@@ -107,6 +107,9 @@ def test_cli_fuzz_exits_0_or_1(argv):
 #: a count option's value, anywhere from 0 to 10^12
 COUNT = st.integers(0, 10**12).map(str)
 
+#: a witness grid step from 1 down to 1e-300
+GRID = st.floats(-300.0, 0.0).map(lambda e: repr(10.0**e))
+
 FUZZ_COUNT_ARGV = st.one_of(
     _argv("projection", ("--random-theta", st.integers(1, 20).map(str)), ("--r-count", COUNT)),
     _argv(
@@ -119,6 +122,15 @@ FUZZ_COUNT_ARGV = st.one_of(
         ("--T", st.just("5")), ("--samples", COUNT),
     ),
     _argv("cq", ("--form", st.just(SQF2)), ("--samples", COUNT)),
+    # witness targets: the grid step and the span (out to +-1e300) set their count
+    _argv(
+        "witness", ("--form", st.just(SQF2)), ("--s-min", st.floats(-1e300, 0.0).map(repr)),
+        ("--s-max", st.floats(0.0, 1e300).map(repr)), ("--grid", GRID), ("--T", st.just("5")),
+    ),
+    _argv(
+        "dichotomy", ("--form", st.just(SQF2)), ("--R", st.sampled_from(["3", "4"])),
+        ("--T", st.just("1e9")), ("--grid", GRID), ("--coverage-floor", st.just("0")),
+    ),
 )
 
 

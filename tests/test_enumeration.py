@@ -356,6 +356,20 @@ def test_window_hits_edge_column_of_a_row_holds_a_hit(monkeypatch):
     assert len(got) == brute_count(form, -2.0, -2.0, 7.0)
 
 
+def test_window_pass_evaluates_about_as_many_candidates_as_hits():
+    # the charged units are the half disc's (u, v) pairs plus the candidates,
+    # so a widening of the w intervals shows as candidates that are no hits
+    T = 500.0
+    counter = errors._Capacity(enumeration._WORK)
+    blocks = enumeration._window_hits(SQF2.form, -1.0, 1.0, T * T, counter)
+    hits = sum(len(v) for v, _ in blocks) // 2  # the half space's
+    us = np.arange(int(T) + 1)
+    vmax = np.floor(np.sqrt(T * T - us * us))
+    pairs = int(2 * vmax.sum() - vmax[0]) + len(us)  # u = 0 holds v >= 0 only
+    assert hits == 2890
+    assert hits <= counter.used - pairs <= hits + 4
+
+
 def test_count_pass_stays_within_memory_budget():
     # one T = 2000 pass holds one block's scratch arrays and one stage-2 run
     # at a time: 0.76 MiB traced at 2^13 entries per block, 1.06 MiB at 2^14,
