@@ -1,0 +1,111 @@
+"""Time one opplab experiment at a parent and a change commit, in interleaved fresh processes.
+
+Usage:
+  python3 scripts/ab_experiment.py --parent REV --change REV --pairs N \\
+      [--workdir DIR] -- <opplab argv>
+
+for example
+
+  python3 scripts/ab_experiment.py --parent HEAD~1 --change HEAD --pairs 20 -- \\
+      equidist --form "[1,-1,-1.4142135623730951]" --T 20,400,8000 --N 400
+
+Each side runs from its own clone at its commit (``bench_pairs.checkout``,
+so the clones are shared with scripts/bench_pairs.py).  Pair i runs
+``python -m opplab <argv>`` once per side, one process after the other,
+the parent first in even pairs and the change first in odd ones, with
+PYTHONPATH set to the side's ``src``.  Both sides must print the same
+stdout bytes and exit 0; otherwise the script stops with an error.
+
+Per side it prints the median and quartiles (statistics.quantiles,
+inclusive) of the wall time, of the CPU time (user + system, from wait4)
+and of the peak resident set (ru_maxrss, in MB), and per metric the number
+of pairs in which the change read lower.  Unlike bench_pairs.py, whose
+pairs are 30-second perfbench runs, a pair here is two single processes
+run back to back, so drift of the host's load over seconds hits both sides
+of a pair alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import SIDES, WORKDIR, checkout, summary  # noqa: E402
+
+METRICS = ("wall_s", "cpu_s", "maxrss_mb")
+
+
+def run_once(clone: Path, argv: list[str]) -> tuple[bytes, dict]:
+    """Run ``python -m opplab argv`` from ``clone``; return (stdout, metrics)."""
+    env = dict(os.environ, PYTHONPATH=str(clone / "src"))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "opplab", *argv], cwd=clone, env=env,
+                                stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            tail = err.read().decode()[-2000:]
+            raise SystemExit(f"error: opplab exited {proc.returncode} in {clone}: {tail}")
+        # ru_maxrss is in KiB on Linux
+        return out.read(), {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+                            "maxrss_mb": usage.ru_maxrss / 1024}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, help="parent commit")
+    ap.add_argument("--change", required=True, help="change commit")
+    ap.add_argument("--pairs", required=True, type=int, help="number of interleaved pairs (at least 2)")
+    ap.add_argument("--workdir", type=Path, default=WORKDIR, help="where the clones live")
+    ap.add_argument("argv", nargs=argparse.REMAINDER, help="-- then the opplab arguments")
+    args = ap.parse_args()
+    argv = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
+    if not argv:
+        ap.error("give the opplab arguments after --")
+    if args.pairs < 2:
+        ap.error("quartiles need at least two pairs")
+
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    clones = {"parent": checkout(args.parent, args.workdir), "change": checkout(args.change, args.workdir)}
+    values = {side: {m: [] for m in METRICS} for side in SIDES}
+    lower = dict.fromkeys(METRICS, 0)
+    expected = None
+    for i in range(args.pairs):
+        pair = {}
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            out, pair[side] = run_once(clones[side][1], argv)
+            if expected is None:
+                expected = out
+            elif out != expected:
+                raise SystemExit(f"error: pair {i}: the {side} side printed other stdout bytes")
+        for m in METRICS:
+            for side in SIDES:
+                values[side][m].append(pair[side][m])
+            lower[m] += pair["change"][m] < pair["parent"][m]
+        print(f"pair {i} ({SIDES[i % 2]} first): " + ", ".join(
+            f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in METRICS), flush=True)
+
+    print(f"opplab {' '.join(argv)}")
+    print(f"parent {clones['parent'][0][:12]}, change {clones['change'][0][:12]}, {args.pairs} pairs, "
+          "same stdout bytes on every run")
+    for m in METRICS:
+        cells = []
+        for side in SIDES:
+            s = summary(values[side][m])
+            cells.append(f"{side} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
+        print(f"{m}: {'; '.join(cells)}; change lower in {lower[m]}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,6 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 #: environment fields of run.py's record that describe the machine and the settings
 ENV_FIELDS = ("nproc", "cpu_model", "python", "numpy", "blas", "thread_env")
+#: where the clones of the compared commits live unless --workdir says otherwise
+WORKDIR = Path(tempfile.gettempdir()) / "opplab-bench-pairs"
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -124,8 +126,7 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to create or update")
     ap.add_argument("--trace-seed", type=int, help="also run --trace 1 on both sides with this seed")
     ap.add_argument("--claim", metavar="METRIC", help="record whether the gain on METRIC is met")
-    ap.add_argument("--workdir", type=Path, default=Path(tempfile.gettempdir()) / "opplab-bench-pairs",
-                    help="where the clones live")
+    ap.add_argument("--workdir", type=Path, default=WORKDIR, help="where the clones live")
     args = ap.parse_args()
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two pairs")

@@ -3,8 +3,8 @@
 Four kernels charge their work to a ``_Capacity`` tally: the window
 enumeration its scanned pairs and candidates (per call), the certified
 approximation search its entry walk and its candidates (per search), a
-ball walk its coefficient slots (per walk, counted only when the walk's box
-could pass the ceiling) and the pairwise kernel the pairs of a
+ball walk its coefficient slots (per frame of the walk, counted only when
+the frame's box could pass the ceiling) and the pairwise kernel the pairs of a
 configuration.  Five loops charge all their items before the first, in
 scanned-pair units: the Siegel samples of one siegel_average call, the
 Monte Carlo samples of one main_term_constant call, the r values of one

@@ -41,15 +41,20 @@ import numpy as np
 
 from .errors import SignatureMismatch, _Capacity
 from .forms import REFERENCE_FORM, as_form, normalize
-from .lattice import _Frame, lll_reduce
+from .lattice import _reduce_frames
 
 _DET_TOL = 1e-10
 
 #: What one Siegel sample charges to the work ceiling (errors.DEFAULT_CEILING),
-#: in scanned pairs of the window enumeration: a sample takes about 125 us,
-#: a scanned pair about 70 ns.  siegel_average charges its N samples before
-#: the first one.
+#: in scanned pairs of the window enumeration: a sample took about 125 us
+#: when this was set and takes 30-50 us in blocks (in-process, N = 400 at
+#: T = 20 to 8000, 2 cores), a scanned pair about 70 ns.  The charge stays,
+#: so the largest N a call accepts does not move.  siegel_average charges
+#: its N samples before the first one.
 _SAMPLE_WORK = 2_000
+
+#: Siegel samples walked together in one block (see _siegel_samples).
+_SAMPLE_BLOCK = 64
 
 # int_0^1 exp(1 - 1/(1-t^2)) t^2 dt by a 200-point Gauss-Legendre rule, frozen
 # (exact value 0.0954136992943015777..., 50-digit mpmath)
@@ -200,19 +205,27 @@ def form_to_basepoint(q) -> Basepoint:
     return Basepoint(g=ge, x0=LatticePoint(g), sign=eps, residual=residual)
 
 
-def _bump(t: float) -> float:
-    """The bump at |v| = t * radius: exp(1 - 1/(1 - t^2)) for t < 1, else 0."""
-    return math.exp(1.0 - 1.0 / (1.0 - t * t)) if t < 1.0 else 0.0
+def _bump(t: np.ndarray) -> np.ndarray:
+    """The bump at |v| = t * radius: exp(1 - 1/(1 - t^2)) for t < 1, else 0.
+
+    The exponent is taken entry by entry with math.exp, whose bits the
+    golden outputs pin (np.exp may round differently).
+    """
+    out = np.zeros(t.shape)
+    inside = t < 1.0
+    u = t[inside]
+    u = 1.0 - 1.0 / (1.0 - u * u)
+    out[inside] = np.fromiter(map(math.exp, u.tolist()), dtype=float, count=u.size)
+    return out
 
 
 def bump_values(norms: np.ndarray, radius: float) -> np.ndarray:
     """Radial smooth bump f = exp(1 - 1/(1 - (|v|/radius)^2)) inside, 0 outside.
 
-    Evaluated entry by entry with the same scalar formula as the Siegel
-    samples, so the two agree bit for bit.
+    Evaluated by the same code as the Siegel samples, so the two agree bit
+    for bit.
     """
-    t = np.asarray(norms, dtype=float) / radius
-    return np.fromiter(map(_bump, t.ravel().tolist()), dtype=float, count=t.size).reshape(t.shape)
+    return _bump(np.asarray(norms, dtype=float) / radius)
 
 
 def bump_mass(radius: float) -> float:
@@ -239,24 +252,49 @@ class EquidistReport:
     min_inj: float
 
 
-def _siegel_sample(basis: np.ndarray, f_radius: float) -> tuple[float, float]:
-    """(Siegel transform of the bump, shortest vector length) at one lattice.
+def _sample_bases(a_mat: np.ndarray, rs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The bases a_mat @ flow_u(r).mat @ basis for each r, stacked (len(rs), 3, 3).
 
-    One reduction and one walk of the bump ball.  The bump values are summed
-    one by one in walk order.  A ball that holds a nonzero point also holds
-    the shortest vector, so its least norm is the shortest length, with the
-    same bits as shortest_vector_coeffs (same frame, same norm sums);
-    otherwise the ball of the shortest reduced column is walked in the same
-    frame.
+    The stacked products have the bits of the products taken one r at a
+    time under every OpenBLAS kernel tests/test_flows.py runs them on.
     """
-    frame = _Frame(*lll_reduce(basis))
-    _, norms2 = frame.walk(f_radius)
-    total = 0.0
-    for n2 in norms2:  # not sum(): from Python 3.12 it compensates float sums
-        total += _bump(math.sqrt(n2) / f_radius)
-    if not norms2:
-        _, norms2 = frame.walk(frame.shortest_radius())
-    return total, math.sqrt(min(norms2))
+    u = np.zeros((len(rs), 3, 3))
+    u[:, 0, 0] = u[:, 1, 1] = u[:, 2, 2] = 1.0
+    u[:, 0, 1] = u[:, 1, 2] = rs
+    u[:, 0, 2] = rs * rs / 2.0
+    return a_mat @ u @ basis
+
+
+def _siegel_samples(bases, f_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Siegel transforms of the bump, shortest vector lengths) at a block of lattices.
+
+    Each basis is reduced once, and one walk covers the bump balls of the
+    whole block (lattice._Frames.walk).  A sample's bump values are summed
+    one by one in its walk order: a cumulative sum along the sample's row of
+    a zero-padded block, never a pairwise sum.  A ball that holds a nonzero
+    point also holds the shortest vector, so its least norm is the shortest
+    length, with the same bits as shortest_vector_coeffs (same frame, same
+    norm sums); the samples whose balls hold none walk the balls of their
+    shortest reduced columns, again in one walk.
+    """
+    frames = _reduce_frames(bases)
+    _, norms2, owner = frames.walk(f_radius)
+    counts = np.bincount(owner, minlength=len(frames))
+    ends = np.cumsum(counts)
+    col = np.arange(len(owner)) - (ends - counts)[owner]
+    # one row per sample in walk order, zero-padded: each row's running sum
+    # ends on the sample's total
+    grid = np.zeros((len(frames), counts.max() + 1))
+    grid[owner, col] = _bump(np.sqrt(norms2) / f_radius)
+    totals = np.cumsum(grid, axis=1)[:, -1]
+    least = np.full(len(frames), np.inf)
+    np.minimum.at(least, owner, norms2)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        rest = frames.take(empty)
+        _, norms2, owner = rest.walk(rest.shortest_radii())
+        np.minimum.at(least, empty[owner], norms2)
+    return totals, np.sqrt(least)
 
 
 def siegel_average(
@@ -267,8 +305,9 @@ def siegel_average(
     Sample points are equispaced in [0,1] with seeded jitter (variance
     reduction with honest randomization).  min_inj reports the shortest
     lattice vector seen over all samples, a Mahler-compactness diagnostic.
-    Each sample is reduced once and walks its bump ball once, and the
-    shortest length is read off that ball (see _siegel_sample).
+    The samples run in blocks of _SAMPLE_BLOCK: each sample is reduced
+    once, and one walk per block covers the block's bump balls, from which
+    the shortest lengths are read too (see _siegel_samples).
     """
     if not 1 < T < math.inf:
         raise ValueError(f"T must be finite and > 1, got {T}")
@@ -281,9 +320,14 @@ def siegel_average(
     rs = (np.arange(N) + rng.random(N)) / N
     a_mat = flow_a(math.log(T)).mat
 
-    results = [_siegel_sample(a_mat @ flow_u(r).mat @ x0.basis, f_radius) for r in rs]
-    empirical = math.fsum(f for f, _ in results) / N
-    min_inj = min(l for _, l in results)
+    totals, lengths = [], []
+    for start in range(0, N, _SAMPLE_BLOCK):
+        bases = _sample_bases(a_mat, rs[start : start + _SAMPLE_BLOCK], x0.basis)
+        block_totals, block_lengths = _siegel_samples(bases, f_radius)
+        totals.extend(block_totals.tolist())
+        lengths.extend(block_lengths.tolist())
+    empirical = math.fsum(totals) / N
+    min_inj = min(lengths)
     haar = bump_mass(f_radius)
     return EquidistReport(
         T=float(T),

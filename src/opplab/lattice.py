@@ -6,32 +6,37 @@ Bases are stored column-wise, so a basis matrix B spans the lattice
 ball enumeration is Fincke-Pohst, walking nested coordinate intervals of
 the Cholesky factor from the last coordinate inward.  Dimensions here are
 tiny (3 for lattices in space, 7 for the Diophantine candidate lattice in
-module approx), so everything runs on Python floats and ints.  A 3x3
-basis is reduced by an unrolled body (``_lll_3d``) that holds each column
-in three float locals; any other size runs the general loop
-(``_lll_general``, one list per column), whose only caller is the 7-D
+module approx), so reduction runs on Python floats and ints, one basis at
+a time.  A 3x3 basis is reduced by an unrolled body (``_lll_3d``) that
+holds each column in three float locals; any other size runs the general
+loop (``_lll_general``, one list per column), whose only caller is the 7-D
 heuristic candidate lattice and which goes when that path is deleted.
 Both take the same steps with the same sums, so they return the same
 bits; the tests compare them with each other and with a numpy reference.
 Both keep the Gram-Schmidt rows of the columns they have not touched and
 recompute only the rows from the first changed column on.
 
-Dot products and lattice vectors are plain sequential sums in a fixed
-order: on 3x3 data they cost less than a numpy call, and unlike a BLAS
-product (whose kernel may fuse or reorder the multiply-adds) they give the
-same bits on every machine.  Every norm the 3-D enumeration returns is
-((m0 b0 + m1 b1) + m2 b2) per coordinate, summed as (x^2 + y^2) + z^2, over
-the reduced columns b0, b1, b2.
+Ball walks run in numpy on a block of reduced frames (``_Frames``) at
+once: each level of the walk (m2 values, m1 rows, m0 slots) is expanded
+for every frame of the block together, in chunks of at most
+``_WALK_CHUNK`` entries.  One frame is the block of one; the Siegel samples
+of module flows walk 64 at a time.
 
-One reduced frame (``_Frame``) serves any number of enumerations: callers
-that need several balls of the same lattice reduce it once and walk each
-ball in the frame.
+Dot products and lattice vectors are plain sums in a fixed order, taken
+by scalar or elementwise operations and never by a BLAS product (whose
+kernel may fuse or reorder the multiply-adds), so they give the same bits
+on every machine and in every block.  Every norm the 3-D enumeration
+returns is ((m0 b0 + m1 b1) + m2 b2) per coordinate, summed as
+(x^2 + y^2) + z^2, over the reduced columns b0, b1, b2.
+
+One reduced frame serves any number of enumerations: callers that need
+several balls of the same lattice reduce it once and walk each ball in
+the frame.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -40,7 +45,8 @@ from .errors import CapacityExceeded, _Capacity
 _MAX_LLL_ITER = 10_000
 
 
-def _dot(a: list[float], b: list[float]) -> float:
+def _dot(a, b):
+    """((0 + a0 b0) + a1 b1) + ...: on floats, or entry by entry on arrays of them."""
     s = 0.0
     for x, y in zip(a, b):
         s += x * y
@@ -168,16 +174,19 @@ def _lll_3d(cols: list[list[float]]) -> tuple[list[list[float]], list[list[int]]
     return [[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]], [u0, u1, u2]
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+def _reduced_arrays(cols, U) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, transform) of the columns of one basis, or of a stack of them.
 
-
-def _reduced_arrays(cols: list[list[float]], U: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(reduced, transform) as C-contiguous float64 and int64 arrays of the columns."""
-    if not all(_INT64_MIN <= x <= _INT64_MAX for col in U for x in col):
+    C-contiguous float64 and int64 arrays whose columns are the reduced
+    vectors and the transform's integer columns.
+    """
+    try:
+        transform = np.array(U, dtype=np.int64)
+    except OverflowError:
         raise CapacityExceeded(
             "LLL transform has an entry beyond the int64 range: the basis is too sheared"
-        )
-    return np.array(cols, dtype=float).T.copy(), np.array(U, dtype=np.int64).T.copy()
+        ) from None
+    return np.array(cols, dtype=float).swapaxes(-1, -2).copy(), transform.swapaxes(-1, -2).copy()
 
 
 def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +245,26 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     return reduced, transform
 
 
+def _reduce_frames(bases) -> "_Frames":
+    """The frames of a block of 3x3 bases, each reduced once by ``_lll_3d``.
+
+    The same reductions, with the same bits, as lll_reduce basis by basis,
+    with its checks made once for the block.  A block with a squared column
+    norm past float64 is reduced basis by basis by lll_reduce, which scales
+    such a basis or names what is wrong with it.
+    """
+    B = np.asarray(bases, dtype=float)
+    coords = np.moveaxis(B, 1, 0)  # coordinate i of every column of every basis
+    with np.errstate(over="ignore"):
+        norms2 = _dot(coords, coords)
+    if not np.all(np.isfinite(norms2)):
+        return _Frames(*(np.stack(part) for part in zip(*map(lll_reduce, B))))
+    if np.any(np.linalg.det(B) == 0.0):
+        raise ValueError("basis is singular")
+    cols, U = zip(*map(_lll_3d, B.swapaxes(1, 2).tolist()))
+    return _Frames(*_reduced_arrays(cols, U))
+
+
 def _basis3(basis) -> np.ndarray:
     B = np.array(basis, dtype=float)
     if B.shape != (3, 3):
@@ -243,18 +272,76 @@ def _basis3(basis) -> np.ndarray:
     return B
 
 
-def _pivot(p: float) -> float:
-    """Square root of a Cholesky pivot, which must be positive."""
-    if not p > 0.0:
+def _pivot(p: np.ndarray) -> np.ndarray:
+    """Square roots of Cholesky pivots, which must be positive."""
+    if not np.all(p > 0.0):
         raise ValueError("reduced basis is numerically singular")
-    return math.sqrt(p)
+    return np.sqrt(p)
 
 
-class _Frame:
-    """An LLL-reduced frame (Bred, U) of a 3-D lattice, ready for ball walks.
+#: Entries in one chunk of a walk level (m2 values, m1 rows or m0 slots), so a
+#: walk's temporaries stay a few hundred KiB however large its ball.
+_WALK_CHUNK = 1 << 11
 
-    Holds the reduced columns c0, c1, c2, U, and the upper Cholesky factor
-    R of G + D, with G the Gram matrix of the reduced columns and
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """Chunks (i, v) of every integer v in each interval [lo[i], hi[i]], in order.
+
+    lo and hi hold integers as float64, and so does v.  Each chunk holds at
+    most _WALK_CHUNK entries; an empty interval adds none and a long one may
+    span several chunks.
+    """
+    counts = np.maximum(hi - lo + 1.0, 0.0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _WALK_CHUNK):
+        stop = min(start + _WALK_CHUNK, total)
+        # the intervals that meet [start, stop), and how many of their integers lie in it
+        first, last = int(np.count_nonzero(ends <= start)), int(np.count_nonzero(ends < stop))
+        meet = slice(first, last + 1)
+        part = np.minimum(ends[meet], stop) - np.maximum(starts[meet], start)
+        i = np.repeat(np.arange(first, last + 1), part.astype(np.int64))
+        yield i, (lo[i] - starts[i]) + np.arange(start, stop, dtype=float)
+
+
+def _rows(frames: "_Frames", r2_trav: np.ndarray):
+    """Chunks (k, m1, m2, lo0, hi0) of the Fincke-Pohst rows of the traversal ellipsoids.
+
+    Row (m1, m2) of frame k holds the m0 in [lo0, hi0]; coefficients and
+    bounds are integers held as float64.  Only nonempty rows are yielded,
+    frame by frame, each frame's rows m2 then m1 ascending.
+    """
+    r01, r02, r11, r12, r22 = frames.r01, frames.r02, frames.r11, frames.r12, frames.r22
+    lim2 = np.floor(np.sqrt(r2_trav) / r22)
+    for k, m2 in _expand(-lim2, lim2):
+        t = r22[k] * m2
+        rem2 = r2_trav[k] - t * t
+        live = rem2 >= 0
+        k, m2, rem2 = k[live], m2[live], rem2[live]
+        c1, half1 = -r12[k] * m2, np.sqrt(rem2)
+        lo1, hi1 = np.ceil((c1 - half1) / r11[k]), np.floor((c1 + half1) / r11[k])
+        for i, m1 in _expand(lo1, hi1):
+            ki, m2i = k[i], m2[i]
+            t = r11[ki] * m1 + r12[ki] * m2i
+            rem1 = rem2[i] - t * t
+            c0, half0 = -(r01[ki] * m1 + r02[ki] * m2i), np.sqrt(np.maximum(rem1, 0.0))
+            lo0 = np.ceil((c0 - half0) / frames.r00[ki])
+            hi0 = np.floor((c0 + half0) / frames.r00[ki])
+            keep = (rem1 >= 0) & (hi0 >= lo0)
+            yield ki[keep], m1[keep], m2i[keep], lo0[keep], hi0[keep]
+
+
+class _Frames:
+    """LLL-reduced frames (Bred, U) of K 3-D lattices, ready for ball walks.
+
+    Built from stacks of K reduced bases and transforms, shape (K, 3, 3); a
+    single (3, 3) pair is the frame block of one lattice.  Every per-frame
+    value is a length-K array computed by elementwise float64 operations in a
+    fixed order, so a frame has the same bits alone as in any block.
+
+    A frame holds its reduced columns c0, c1, c2 and the upper Cholesky
+    factor R of G + D, with G the Gram matrix of the reduced columns and
     D = 1e-14 diag(g00, g11, g22) a per-column jitter that keeps the
     factorization defined on nearly degenerate input.  The jitter inflates
     the traversal norm of a coefficient vector m by 1e-14 S, with
@@ -282,12 +369,15 @@ class _Frame:
     over because h >= 3.
     """
 
-    __slots__ = ("cols", "U", "r00", "r01", "r02", "r11", "r12", "r22", "widen")
+    __slots__ = ("Bred", "U", "cols", "r00", "r01", "r02", "r11", "r12", "r22", "widen", "short2")
 
+    @np.errstate(all="ignore")  # a non-finite value fails the checks below
     def __init__(self, Bred: np.ndarray, U: np.ndarray):
-        self.cols = Bred.T.tolist()
-        self.U = U
-        c0, c1, c2 = self.cols
+        self.Bred = np.asarray(Bred, dtype=float).reshape(-1, 3, 3)
+        self.U = np.asarray(U, dtype=np.int64).reshape(-1, 3, 3)
+        # rows x, y, z of column 0, then of columns 1 and 2; one entry per frame
+        self.cols = self.Bred.transpose(2, 1, 0).reshape(9, -1)
+        c0, c1, c2 = self.cols[0:3], self.cols[3:6], self.cols[6:9]
         g00, g01, g02 = _dot(c0, c0), _dot(c0, c1), _dot(c0, c2)
         g11, g12, g22 = _dot(c1, c1), _dot(c1, c2), _dot(c2, c2)
         r00 = _pivot(g00 + 1e-14 * g00)
@@ -296,7 +386,8 @@ class _Frame:
         r12 = (g12 - r01 * r02) / r11
         r22 = _pivot(g22 + 1e-14 * g22 - r02 * r02 - r12 * r12)
 
-        (a, b, c), (d, e, f), (g, h, i) = Bred.tolist()
+        # cofactor determinant of the rows (a, b, c), (d, e, f), (g, h, i)
+        (a, d, g), (b, e, h), (c, f, i) = c0, c1, c2
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         terms = (
             abs(a) * (abs(e * i) + abs(f * h))
@@ -304,82 +395,93 @@ class _Frame:
             + abs(c) * (abs(d * h) + abs(e * g))
         )
         det_lo = abs(det) - 1e-14 * terms
-        if not det_lo > 0.0:
+        if not np.all(det_lo > 0.0):
             raise ValueError("reduced basis is numerically singular")
         hadamard = (1.0 + 1e-9) * 3.0 * g00 * g11 * g22 / (det_lo * det_lo)
 
         self.r00, self.r01, self.r02 = r00, r01, r02
         self.r11, self.r12, self.r22 = r11, r12, r22
         self.widen = 2e-14 * hadamard
+        self.short2 = np.minimum(np.minimum(g00, g11), g22)
 
-    def _rows(self, r2_trav: float):
-        """Fincke-Pohst rows (m1, m2, lo0, hi0) of the traversal ellipsoid."""
-        r00, r01, r02 = self.r00, self.r01, self.r02
-        r11, r12, r22 = self.r11, self.r12, self.r22
-        lim2 = math.floor(math.sqrt(r2_trav) / r22)
-        for m2 in range(-lim2, lim2 + 1):
-            rem2 = r2_trav - (r22 * m2) ** 2
-            if rem2 < 0:
-                continue
-            c1 = -r12 * m2
-            half1 = math.sqrt(rem2)
-            lo1 = math.ceil((c1 - half1) / r11)
-            hi1 = math.floor((c1 + half1) / r11)
-            for m1 in range(lo1, hi1 + 1):
-                rem1 = rem2 - (r11 * m1 + r12 * m2) ** 2
-                if rem1 < 0:
-                    continue
-                c0 = -(r01 * m1 + r02 * m2)
-                half0 = math.sqrt(rem1)
-                lo0 = math.ceil((c0 - half0) / r00)
-                hi0 = math.floor((c0 + half0) / r00)
-                if hi0 >= lo0:
-                    yield m1, m2, lo0, hi0
+    def __len__(self) -> int:
+        return len(self.Bred)
 
-    def walk(self, radius: float) -> tuple[array, array]:
-        """Reduced coefficients and squared norms of the nonzero lattice points in the ball.
+    def take(self, idx) -> "_Frames":
+        """The frames at ``idx``, as a block of their own."""
+        return _Frames(self.Bred[idx], self.U[idx])
 
-        Returns (coefficients, norms2): flat ``array('q')`` triples
-        (m0, m1, m2) with respect to the reduced columns and an
-        ``array('d')``, both in walk order (m2, then m1, then m0
-        ascending).  Only points that pass the norm filter are stored.
-        The coefficient slots the walk visits are charged to the work
-        ceiling: when the traversal's box could pass it, the slots are
+    def walk(self, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced coefficients and squared norms of the nonzero lattice points in the balls.
+
+        ``radii`` is one radius for every frame or one per frame.  Returns
+        (coeffs, norms2, owner): (n, 3) int64 triples (m0, m1, m2) with
+        respect to each frame's reduced columns, their float64 squared norms
+        ((m0 b0 + m1 b1) + m2 b2 per coordinate, (x^2 + y^2) + z^2), and the
+        int64 index of the frame each point is in.  Points come frame by
+        frame, each frame's in walk order (m2, then m1, then m0 ascending).
+        Only points that pass the norm filter are stored, and the walk's
+        temporaries are made chunk by chunk (_WALK_CHUNK).
+
+        A radius whose squared traversal radius is not finite, or whose
+        traversal box spans 2^53 or more integers on a side, raises
+        CapacityExceeded before anything is allocated.  The coefficient
+        slots each frame visits are charged to the work ceiling, one tally
+        per frame: when a frame's box could pass the ceiling its slots are
         counted, without storing anything, before the walk, so a ball too
-        large for the ceiling raises CapacityExceeded before it stores a
-        point.
+        large for the ceiling raises CapacityExceeded before any point is
+        stored.
         """
-        r2 = radius * radius * (1.0 + 1e-12) + 1e-300
-        r2_trav = r2 * (1.0 + self.widen)
-        tally = _Capacity("coefficient slots of the ball walk")
-        s2 = 2.0 * math.sqrt(r2_trav)
-        box = (s2 / self.r00 + 2.0) * (s2 / self.r11 + 2.0) * (s2 / self.r22 + 2.0)
-        if box > tally.ceiling:
-            for _, _, lo0, hi0 in self._rows(r2_trav):
-                tally.add(hi0 - lo0 + 1)
-        (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = self.cols
-        coeffs = array("q")
-        norms2 = array("d")
-        for m1, m2, lo0, hi0 in self._rows(r2_trav):
-            x1, y1, z1 = m1 * b01, m1 * b11, m1 * b21
-            x2, y2, z2 = m2 * b02, m2 * b12, m2 * b22
-            for m0 in range(lo0, hi0 + 1):
-                x = m0 * b00 + x1 + x2
-                y = m0 * b10 + y1 + y2
-                z = m0 * b20 + z1 + z2
-                n2 = x * x + y * y + z * z
-                if n2 <= r2 and (m0 or m1 or m2):
-                    coeffs.extend((m0, m1, m2))
-                    norms2.append(n2)
-        return coeffs, norms2
+        radii = np.broadcast_to(np.asarray(radii, dtype=float), (len(self),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = radii * radii * (1.0 + 1e-12) + 1e-300
+            r2_trav = r2 * (1.0 + self.widen)
+        overflow = ~np.isfinite(r2_trav)
+        if overflow.any():
+            raise CapacityExceeded(
+                f"a ball of radius {radii[overflow][0]:.6g} is too large to walk: its squared "
+                "traversal radius is not finite in float64"
+            )
+        s2 = 2.0 * np.sqrt(r2_trav)
+        sides = (s2 / self.r00 + 2.0, s2 / self.r11 + 2.0, s2 / self.r22 + 2.0)
+        if not all(np.all(side < 2.0**53) for side in sides):
+            raise CapacityExceeded(
+                "a ball is too large to walk: its traversal box spans 2^53 or more "
+                "integers on a side"
+            )
+        box = sides[0] * sides[1] * sides[2]
+        label = "coefficient slots of the ball walk"
+        for k in np.flatnonzero(box > _Capacity(label).ceiling):
+            tally = _Capacity(label)
+            for *_, lo0, hi0 in _rows(self.take([k]), r2_trav[[k]]):
+                tally.add(int(np.sum(hi0 - lo0 + 1)))
 
-    def shortest_radius(self) -> float:
-        """Length of the shortest reduced column, by the walk's own norm sums."""
-        return math.sqrt(min(_dot(c, c) for c in self.cols))
+        parts = []
+        for k, m1, m2, lo0, hi0 in _rows(self, r2_trav):
+            b0x, b0y, b0z, b1x, b1y, b1z, b2x, b2y, b2z = self.cols[:, k]
+            # the m1 and m2 terms of each row's points
+            x1, y1, z1, x2, y2, z2 = m1 * b1x, m1 * b1y, m1 * b1z, m2 * b2x, m2 * b2y, m2 * b2z
+            r2_row, nonzero = r2[k], (m1 != 0) | (m2 != 0)
+            for i, m0 in _expand(lo0, hi0):
+                x = (m0 * b0x[i] + x1[i]) + x2[i]
+                y = (m0 * b0y[i] + y1[i]) + y2[i]
+                z = (m0 * b0z[i] + z1[i]) + z2[i]
+                n2 = (x * x + y * y) + z * z
+                keep = (n2 <= r2_row[i]) & ((m0 != 0) | nonzero[i])
+                i = i[keep]
+                parts.append((np.stack((m0[keep], m1[i], m2[i]), axis=1), n2[keep], k[i]))
+        if not parts:
+            return np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+        coeffs, norms2, owner = (np.concatenate(part) for part in zip(*parts))
+        return coeffs.astype(np.int64), norms2, owner
 
-    def original(self, coeffs: array) -> np.ndarray:
-        """Reduced coefficient triples as a (k, 3) int64 array in the original basis."""
-        return np.frombuffer(coeffs, dtype=np.int64).reshape(-1, 3) @ self.U.T
+    def shortest_radii(self) -> np.ndarray:
+        """Length of each frame's shortest reduced column, by the walk's own norm sums."""
+        return np.sqrt(self.short2)
+
+    def original(self, coeffs: np.ndarray) -> np.ndarray:
+        """Reduced coefficient triples of a one-frame block in the original basis, (k, 3) int64."""
+        return coeffs @ self.U[0].T
 
 
 def enumerate_ball(basis, radius: float) -> np.ndarray:
@@ -399,8 +501,8 @@ def enumerate_ball(basis, radius: float) -> np.ndarray:
     B = _basis3(basis)
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
-    frame = _Frame(*lll_reduce(B))
-    coeffs, _ = frame.walk(radius)
+    frame = _Frames(*lll_reduce(B))
+    coeffs, _, _ = frame.walk(radius)
     return frame.original(coeffs)
 
 
@@ -411,13 +513,13 @@ def shortest_vector_coeffs(basis) -> tuple[np.ndarray, float]:
     sign is canonicalized (first nonzero coefficient positive) and ties in
     length resolve to the lexicographically least coefficient tuple.
     """
-    frame = _Frame(*lll_reduce(_basis3(basis)))
-    coeffs, norms2 = frame.walk(frame.shortest_radius())
-    if not norms2:
+    frame = _Frames(*lll_reduce(_basis3(basis)))
+    coeffs, norms2, _ = frame.walk(frame.shortest_radii())
+    if not len(norms2):
         # cannot happen for a nonsingular basis: the shortest reduced column qualifies
         raise CapacityExceeded("shortest-vector enumeration returned no candidates")
     best = None
-    for cand, n2 in zip(frame.original(coeffs).tolist(), norms2):
+    for cand, n2 in zip(frame.original(coeffs).tolist(), norms2.tolist()):
         if next(c for c in cand if c) < 0:
             cand = [-c for c in cand]
         key = (math.sqrt(n2), cand)

@@ -153,6 +153,8 @@ def test_golden_json_outputs_parse():
         ["dichotomy", "--form", SQF2, "--R", "4", "--T", "1e9", "--grid=1e-300"],
         ["witness", "--form", SQF2, "--s-min=-1e300", "--s-max=1e300", "--grid=1e-300", "--T", "10"],
         ["witness", "--form", SQF2, "--grid", "1e-9", "--T", "10"],
+        # a bump ball whose squared radius overflows float64
+        ["equidist", "--form", SQF2, "--T", "20", "--N", "10", "--f-radius", "1e300"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):

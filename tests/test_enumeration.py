@@ -163,6 +163,73 @@ def test_witness_table_grid_and_missing_fraction(capsys):
     assert obj["records"][0]["v"] == list(table.records[0].v)
 
 
+def _per_target_scan_records(form, s_min, s_max, step, eps, T):
+    # the records of witness_table as it stood before the value windows:
+    # every open target scans all of a shell's hits
+    shells = list(enumeration._shell_windows(T))
+    targets = enumeration._grid(s_min, s_max, step, len(shells))
+    records = [None] * len(targets)
+    pad = eps * 1e-9 + 1e-300
+    win_lo, win_hi = targets[0] - eps - pad, targets[-1] + eps + pad
+    counter = errors._Capacity(enumeration._WORK)
+    for hi2 in shells:
+        blocks = list(enumeration._window_hits(form, win_lo, win_hi, hi2, counter))
+        if not blocks:
+            continue
+        v = np.concatenate([blk[0] for blk in blocks])
+        vals = np.concatenate([blk[1] for blk in blocks])
+        n2 = np.einsum("ij,ij->i", v, v)
+        first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
+        keep = (first > 0) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
+        v, vals, n2 = v[keep], vals[keep], n2[keep]
+        order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
+        v, vals, n2 = v[order], vals[order], n2[order]
+        for ti, s in enumerate(targets):
+            if records[ti] is not None:
+                continue
+            hit = np.flatnonzero(np.abs(vals - s) <= eps)
+            if len(hit) == 0:
+                continue
+            k = hit[0]
+            value = float(vals[k])
+            records[ti] = enumeration.WitnessRecord(
+                s=s, v=(int(v[k, 0]), int(v[k, 1]), int(v[k, 2])), value=value,
+                gap=abs(value - s), norm=math.sqrt(int(n2[k])),
+            )
+        if all(rec is not None for rec in records):
+            break
+    return records
+
+
+def test_witness_value_windows_match_the_per_target_scan():
+    # integer forms put many hits on equal values, and integer targets right
+    # on them (gap 0) or exactly eps away from them
+    rng = np.random.default_rng(43)
+    checked = exact = 0
+    for trial in range(100):
+        if trial % 2:
+            form = TernaryForm(*rng.integers(-3, 4, size=6).astype(float))
+            s_min, step = float(rng.integers(-6, 1)), float(rng.choice([0.5, 1.0, 2.0]))
+            eps = float(rng.choice([1e-9, 0.5, 1.0]))
+        else:
+            form = TernaryForm(*rng.normal(size=6))
+            s_min, step = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.05, 1.0))
+            eps = float(rng.uniform(1e-3, 0.3))
+        s_max = s_min + step * float(rng.integers(0, 40))
+        T = float(rng.uniform(3.0, 12.0))
+        try:
+            want = _per_target_scan_records(form, s_min, s_max, step, eps, T)
+        except (DegenerateForm, DefiniteForm) as exc:
+            with pytest.raises(type(exc)):
+                witness_table(form, s_min, s_max, step, eps, T)
+            continue
+        got = witness_table(form, s_min, s_max, step, eps, T).records
+        assert got == want
+        checked += 1
+        exact += sum(rec is not None and rec.gap == 0.0 for rec in got)
+    assert checked >= 80 and exact >= 50
+
+
 def test_witness_table_single_target_and_validation(monkeypatch):
     table = witness_table(SQF2, 0.0, 0.0, 1.0, 0.5, 5.0)
     assert table.targets == [0.0]
@@ -547,7 +614,7 @@ def test_sample_counts_are_charged_before_the_first_sample(monkeypatch):
     def draw(*args):
         raise SampleDrawn
 
-    monkeypatch.setattr(opplab.flows, "_siegel_sample", draw)
+    monkeypatch.setattr(opplab.flows, "_siegel_samples", draw)
     monkeypatch.setattr(enumeration, "uniform_ball", draw)
     x0 = opplab.LatticePoint(np.eye(3))
     with pytest.raises(SampleDrawn):

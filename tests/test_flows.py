@@ -1,6 +1,7 @@
 """Tests for the diagonal/unipotent flows, basepoints, and Siegel averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from opplab.flows import (
     v_elem,
 )
 from opplab.forms import REFERENCE_FORM, TernaryForm, normalize
-from opplab.lattice import lll_reduce, shortest_vector_coeffs
+from opplab.lattice import shortest_vector_coeffs
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
 
@@ -291,18 +292,51 @@ def test_siegel_average_deterministic():
 
 def test_siegel_average_reduces_each_sample_once(monkeypatch):
     calls = []
+    lll_3d = lattice._lll_3d
 
-    def counting(basis, *args, **kwargs):
+    def counting(cols):
         calls.append(1)
-        return lll_reduce(basis, *args, **kwargs)
+        return lll_3d(cols)
 
     x = form_to_basepoint(SQF2).x0
     want = siegel_average(1.5, x, 400.0, 40, seed=3)
-    for module in (flows, lattice):
-        monkeypatch.setattr(module, "lll_reduce", counting)
+    monkeypatch.setattr(lattice, "_lll_3d", counting)
     got = siegel_average(1.5, x, 400.0, 40, seed=3)
     assert len(calls) == 40
     assert got == want
+
+
+def test_siegel_average_traced_peak_stays_under_one_mib():
+    # the samples run in blocks of _SAMPLE_BLOCK and each walk level in
+    # chunks of lattice._WALK_CHUNK; one block of all 400 samples, walked
+    # unchunked, peaked at about 4 MiB
+    x = form_to_basepoint(SQF2).x0
+    siegel_average(2.0, x, 8000.0, 400)
+    tracemalloc.start()
+    try:
+        siegel_average(2.0, x, 8000.0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell", "SkylakeX"])
+def test_stacked_sample_bases_have_the_bits_of_one_product_at_a_time(run_under_coretype, coretype):
+    code = """
+import math
+import numpy as np
+from opplab import flows
+from opplab.forms import TernaryForm, normalize
+x0 = flows.form_to_basepoint(normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))).x0
+rng = np.random.default_rng(3)
+for T in (5.0, 20.0, 400.0, 8000.0, 1e6):
+    a = flows.flow_a(math.log(T)).mat
+    rs = (np.arange(400) + rng.random(400)) / 400
+    want = np.array([a @ flows.flow_u(r).mat @ x0.basis for r in rs])
+    print(flows._sample_bases(a, rs, x0.basis).tobytes() == want.tobytes())
+"""
+    assert run_under_coretype(coretype, code).split() == ["True"] * 5
 
 
 def test_siegel_average_haar_side_is_geometry_free():

@@ -119,8 +119,8 @@ def test_enumerate_ball_include_zero_and_norms():
     b = rand_basis(rng)
     plain = enumerate_ball(b, 2.0)
     assert len(plain) > 0 and not np.any(np.all(plain == 0, axis=1))
-    frame = lattice._Frame(*lll_reduce(b))
-    coeffs, norms2 = frame.walk(2.0)
+    frame = lattice._Frames(*lll_reduce(b))
+    coeffs, norms2, _ = frame.walk(2.0)
     cands, norms = frame.original(coeffs), np.sqrt(np.asarray(norms2))
     np.testing.assert_array_equal(cands, plain)
     np.testing.assert_allclose(
@@ -385,9 +385,9 @@ def test_walk_matches_reference_traversal_on_siegel_bases():
     checked = 0
     for b in _siegel_bases():
         Bred, U = lll_reduce(b)
-        frame = lattice._Frame(Bred, U)
-        for radius in (2.0, frame.shortest_radius()):
-            coeffs, norms2 = frame.walk(radius)
+        frame = lattice._Frames(Bred, U)
+        for radius in (2.0, frame.shortest_radii()[0]):
+            coeffs, norms2, _ = frame.walk(radius)
             cands, norms = frame.original(coeffs), np.sqrt(np.asarray(norms2))
             np.testing.assert_array_equal(cands, enumerate_ball(b, radius))
             got = {tuple(row) for row in cands.tolist()}
@@ -401,21 +401,164 @@ def test_walk_matches_reference_traversal_on_siegel_bases():
     assert checked == 420
 
 
+class _ScalarFrame:
+    """The scalar Fincke-Pohst walk that the block walk replaced, kept as an oracle.
+
+    One frame in Python floats: the same jitter, widening, rows and norm
+    sums as lattice._Frames, walked one coefficient at a time.
+    """
+
+    def __init__(self, Bred, U):
+        self.cols = Bred.T.tolist()
+        c0, c1, c2 = self.cols
+        dot = lattice._dot
+        g00, g01, g02 = dot(c0, c0), dot(c0, c1), dot(c0, c2)
+        g11, g12, g22 = dot(c1, c1), dot(c1, c2), dot(c2, c2)
+        r00 = math.sqrt(g00 + 1e-14 * g00)
+        r01, r02 = g01 / r00, g02 / r00
+        r11 = math.sqrt(g11 + 1e-14 * g11 - r01 * r01)
+        r12 = (g12 - r01 * r02) / r11
+        r22 = math.sqrt(g22 + 1e-14 * g22 - r02 * r02 - r12 * r12)
+        (a, b, c), (d, e, f), (g, h, i) = Bred.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        terms = (
+            abs(a) * (abs(e * i) + abs(f * h))
+            + abs(b) * (abs(d * i) + abs(f * g))
+            + abs(c) * (abs(d * h) + abs(e * g))
+        )
+        det_lo = abs(det) - 1e-14 * terms
+        hadamard = (1.0 + 1e-9) * 3.0 * g00 * g11 * g22 / (det_lo * det_lo)
+        self.r = (r00, r01, r02, r11, r12, r22)
+        self.widen = 2e-14 * hadamard
+
+    def _rows(self, r2_trav):
+        r00, r01, r02, r11, r12, r22 = self.r
+        lim2 = math.floor(math.sqrt(r2_trav) / r22)
+        for m2 in range(-lim2, lim2 + 1):
+            rem2 = r2_trav - (r22 * m2) ** 2
+            if rem2 < 0:
+                continue
+            c1, half1 = -r12 * m2, math.sqrt(rem2)
+            for m1 in range(math.ceil((c1 - half1) / r11), math.floor((c1 + half1) / r11) + 1):
+                rem1 = rem2 - (r11 * m1 + r12 * m2) ** 2
+                if rem1 < 0:
+                    continue
+                c0, half0 = -(r01 * m1 + r02 * m2), math.sqrt(rem1)
+                yield m1, m2, math.ceil((c0 - half0) / r00), math.floor((c0 + half0) / r00)
+
+    def walk(self, radius):
+        """Coefficients and squared norms of the nonzero points in the ball, in walk order."""
+        r2 = radius * radius * (1.0 + 1e-12) + 1e-300
+        (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = self.cols
+        coeffs, norms2 = [], []
+        for m1, m2, lo0, hi0 in self._rows(r2 * (1.0 + self.widen)):
+            x1, y1, z1 = m1 * b01, m1 * b11, m1 * b21
+            x2, y2, z2 = m2 * b02, m2 * b12, m2 * b22
+            for m0 in range(lo0, hi0 + 1):
+                x = m0 * b00 + x1 + x2
+                y = m0 * b10 + y1 + y2
+                z = m0 * b20 + z1 + z2
+                n2 = x * x + y * y + z * z
+                if n2 <= r2 and (m0 or m1 or m2):
+                    coeffs.append((m0, m1, m2))
+                    norms2.append(n2)
+        return coeffs, norms2
+
+    def shortest_radius(self):
+        return math.sqrt(min(lattice._dot(c, c) for c in self.cols))
+
+
+def _scalar_siegel_sample(basis, f_radius):
+    # the per-sample path the Siegel blocks replaced: the bump values summed
+    # one by one in walk order, and the shortest length off the bump ball or,
+    # if it is empty, off the ball of the shortest reduced column
+    frame = _ScalarFrame(*lll_reduce(basis))
+    _, norms2 = frame.walk(f_radius)
+    total = 0.0
+    for n2 in norms2:
+        t = math.sqrt(n2) / f_radius
+        total += math.exp(1.0 - 1.0 / (1.0 - t * t)) if t < 1.0 else 0.0
+    if not norms2:
+        _, norms2 = frame.walk(frame.shortest_radius())
+    return total, math.sqrt(min(norms2))
+
+
+@pytest.mark.parametrize("f_radius", [2.0, 1.5, 0.05])
+def test_siegel_samples_match_the_scalar_walk(f_radius):
+    # 0.05 leaves every bump ball empty, so every length comes off the
+    # shortest-column walk
+    rng = np.random.default_rng(31)
+    siegel = _siegel_bases()
+    bases = [*siegel, *(rand_basis(rng) for _ in range(50))]
+    want = [_scalar_siegel_sample(b, f_radius) for b in bases]
+    totals, lengths = flows._siegel_samples(bases, f_radius)
+    assert totals.tolist() == [t for t, _ in want]
+    assert lengths.tolist() == [length for _, length in want]
+    # siegel_average at the sampling rule of _siegel_bases, in blocks of 64
+    x0 = form_to_basepoint(_sqf2()).x0
+    for j, T in enumerate((20.0, 400.0, 8000.0)):
+        rep = flows.siegel_average(f_radius, x0, T, 70, seed=28)
+        part = want[70 * j : 70 * (j + 1)]
+        assert rep.empirical == math.fsum(t for t, _ in part) / 70
+        assert rep.min_inj == min(length for _, length in part)
+
+
+def test_block_walk_matches_the_scalar_walk_point_for_point(monkeypatch):
+    # tiny chunks split rows and frames across chunk boundaries
+    rng = np.random.default_rng(33)
+    bases = [*_siegel_bases()[::10], *(rand_basis(rng) for _ in range(10))]
+    reduced = [lll_reduce(b) for b in bases]
+    frames = lattice._Frames(np.array([r for r, _ in reduced]), np.array([u for _, u in reduced]))
+    want = [_ScalarFrame(*red).walk(1.7) for red in reduced]
+    for chunk in (lattice._WALK_CHUNK, 5):
+        monkeypatch.setattr(lattice, "_WALK_CHUNK", chunk)
+        coeffs, norms2, owner = frames.walk(1.7)
+        assert owner.tolist() == [k for k, (c, _) in enumerate(want) for _ in c]
+        assert [tuple(c) for c in coeffs.tolist()] == [c for w in want for c in w[0]]
+        assert norms2.tolist() == [n2 for w in want for n2 in w[1]]
+
+
+def test_expand_yields_every_interval_in_order_in_bounded_chunks(monkeypatch):
+    monkeypatch.setattr(lattice, "_WALK_CHUNK", 7)
+    rng = np.random.default_rng(34)
+    lo = rng.integers(-20, 20, size=40)
+    hi = lo + rng.integers(-3, 25, size=40)  # some intervals are empty
+    chunks = list(lattice._expand(lo, hi))
+    assert all(len(i) == len(v) <= 7 for i, v in chunks)
+    got = [(int(i), int(v)) for ii, vv in chunks for i, v in zip(ii, vv)]
+    assert got == [(i, v) for i in range(40) for v in range(lo[i], hi[i] + 1)]
+
+
+@pytest.mark.parametrize("radius", [1e300, 1e155, 1e150])
+def test_an_overflowing_ball_raises_before_the_walk_starts(monkeypatch, radius):
+    # 1e300 and 1e155 overflow the squared radius; 1e150 gives a box of
+    # 2e150 integers a side, past what float64 counts exactly
+    def no_rows(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lattice, "_rows", no_rows)
+    with pytest.raises(CapacityExceeded, match="too large to walk"):
+        enumerate_ball(np.eye(3), radius)
+    x0 = flows.LatticePoint(np.eye(3))
+    with pytest.raises(CapacityExceeded, match="too large to walk"):
+        flows.siegel_average(radius, x0, 2.0, 10)
+
+
 @pytest.mark.parametrize("f_radius", [1.5, 0.05])
 def test_siegel_sample_reads_shortest_length_off_the_bump_ball(monkeypatch, f_radius):
     # f_radius 1.5 holds a nonzero point at every sample, 0.05 at none, so the
     # two cover the bump-ball minimum and the second walk
     walks = []
-    walk = lattice._Frame.walk
+    walk = lattice._Frames.walk
 
     def counting(self, *args, **kwargs):
         walks.append(1)
         return walk(self, *args, **kwargs)
 
     bases = _siegel_bases()
-    monkeypatch.setattr(lattice._Frame, "walk", counting)
+    monkeypatch.setattr(lattice._Frames, "walk", counting)
     for b in bases:
-        assert flows._siegel_sample(b, f_radius)[1] == shortest_vector_coeffs(b)[1]
+        assert flows._siegel_samples([b], f_radius)[1][0] == shortest_vector_coeffs(b)[1]
     assert len(walks) == len(bases) * (2 if f_radius == 1.5 else 3)
 
 
@@ -450,14 +593,15 @@ def test_spread_frame_walks_close_to_its_ball(monkeypatch):
     # a jitter set by the longest column widened this walk 150-fold:
     # 1,063,949 slots for 74,722 points
     slots = []
-    rows = lattice._Frame._rows
+    rows = lattice._rows
 
-    def counting(self, r2_trav):
-        for row in rows(self, r2_trav):
-            slots.append(row[3] - row[2] + 1)
-            yield row
+    def counting(frames, r2_trav):
+        for chunk in rows(frames, r2_trav):
+            *_, lo0, hi0 = chunk
+            slots.append(int(np.sum(hi0 - lo0 + 1)))
+            yield chunk
 
-    monkeypatch.setattr(lattice._Frame, "_rows", counting)
+    monkeypatch.setattr(lattice, "_rows", counting)
     pts = enumerate_ball(np.diag([1e4, 1.0, 1e-4]), 1.5)
     assert len(pts) == 74_722
     assert sum(slots) <= 2 * len(pts)
@@ -493,10 +637,10 @@ def test_enumeration_does_not_depend_on_the_blas_kernel(run_under_coretype):
     code = f"""
 import hashlib, json
 import numpy as np
-from opplab.lattice import _Frame, enumerate_ball, lll_reduce, shortest_vector_coeffs
+from opplab.lattice import _Frames, enumerate_ball, lll_reduce, shortest_vector_coeffs
 h = hashlib.sha256()
 for b in json.loads({bases!r}):
-    frame = _Frame(*lll_reduce(b))
+    frame = _Frames(*lll_reduce(b))
     parts = (enumerate_ball(b, 2.0), *frame.walk(2.0), *shortest_vector_coeffs(b))
     for part in parts:
         h.update(np.asarray(part).tobytes())
