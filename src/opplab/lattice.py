@@ -425,7 +425,7 @@ class _Frames:
 
         A radius whose squared traversal radius is not finite, or whose
         traversal box spans 2^53 or more integers on a side, raises
-        CapacityExceeded before anything is allocated.  The coefficient
+        CapacityExceeded before the walk starts.  The coefficient
         slots each frame visits are charged to the work ceiling, one tally
         per frame: when a frame's box could pass the ceiling its slots are
         counted, without storing anything, before the walk, so a ball too
