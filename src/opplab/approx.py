@@ -39,6 +39,7 @@ from .enumeration import WitnessTable, witness_table
 from .errors import NoCandidate, _Capacity
 from .forms import NormalizedForm, as_form, normalize
 from .lattice import lll_reduce
+from .util import power
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -92,6 +93,12 @@ class ApproxResult:
 
 # rows of one scored tile: bounds the length of every scoring temporary
 _TILE_ROWS = 1 << 16
+
+#: What one integer multiple of the heuristic pool charges, in candidates of
+#: the certified search: building, keeping and scoring it takes 15-30 us (SQF2
+#: at R = 4e207, 200,000 multiples, 2 cores), against about 150 ns to score a
+#: candidate.  _heuristic_candidates charges its multiples before it builds them.
+_MULTIPLE_WORK = 200
 
 #: What one m11 step of _search_boxes charges, in candidates: the walk over
 #: a step takes about 20 us (SQF2 at R = 10^4, 2 cores), against about
@@ -244,6 +251,7 @@ def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
 
     top = float(np.max(np.abs(q6)))
     n_max = min(int(r / max(top, 1e-12)) + 1, 200_000)
+    _Capacity(f"candidates of the heuristic pool at R={r}").add(n_max * _MULTIPLE_WORK)
     ns = np.arange(1, n_max + 1, dtype=float)
     mult = np.rint(ns[:, None] * q6[None, :]).astype(np.int64)
     ok = np.max(np.abs(mult), axis=1) <= r
@@ -348,13 +356,21 @@ def dichotomy_report(
     """
     if not 1 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 1, got {R}")
-    if T < R**a_exp:
-        raise ValueError(f"need T >= R**a_exp = {R**a_exp:.6g} for a meaningful threshold")
+    floor = power(R, a_exp)
+    if T < floor:
+        raise ValueError(f"need T >= R**a_exp = {floor:.6g} for a meaningful threshold")
+    if not 1 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    threshold = floor * power(math.log(T), a_exp) / T
+    eps_eff = float(eps) if eps is not None else power(R, -k_exp)
+    span = power(R, k_exp)
+    for name, value in (("R**a_exp (log T)**a_exp / T", threshold), ("R**k_exp", span)):
+        if not value < math.inf:
+            raise ValueError(f"{name} is not finite: a_exp={a_exp}, k_exp={k_exp}")
+    if not 0 < eps_eff < math.inf:
+        raise ValueError(f"eps (by default R**-k_exp) must be positive and finite, got {eps_eff}")
     qn = q if isinstance(q, NormalizedForm) else normalize(q)
-    threshold = R**a_exp * math.log(T) ** a_exp / T
     approx = best_rational_approx(qn, R)
-    eps_eff = float(eps) if eps is not None else R ** (-k_exp)
-    span = R**k_exp
     thresholds = {
         "R": float(R),
         "T": float(T),

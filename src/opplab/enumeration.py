@@ -35,12 +35,12 @@ proven rounding margin, not from padding each interval by an integer.  On
 the quadratic branch the condition on w is written as (alpha w + half)^2 in
 [P + k_lo, P + k_hi], with P = p11 u^2 + p12 u v + p22 v^2 a binary form in
 the outer coordinates (u, v) and mid = -half/alpha linear in them.  The
-window is widened by twice the margin 16 eps ((rho + rho^2/alpha) T^2 + |a|
+window is widened by the margin 16 eps ((rho + rho^2/alpha) T^2 + |a|
 + |b|), with eps = 2^-53, rho the largest row sum of |M| and alpha the
 pruned diagonal entry, and the roots are padded by about 24 eps ((rho (T +
-1) + S)/alpha) + 8 eps (T + 2), where S bounds the square roots.  One
-margin already bounds the rounding of form.evaluate and of P at every point
-of the ball, so every hit's w lies in one of the two segments mid -+ [s_lo,
+1) + S)/alpha) + 8 eps (T + 2), where S bounds the square roots.  The
+margin bounds the rounding of form.evaluate and of P at every point of the
+ball, so every hit's w lies in one of the two segments mid -+ [s_lo,
 s_hi] that the code computes (_rounding_margin has the derivation).  An
 integer w falls within the pad of a root only where Q takes, or nearly
 takes, a window end, as at a tangency; the margin keeps such a w and the
@@ -280,11 +280,13 @@ def _rounding_margin(
     + p22 v^2.  Let A = (rho^2 + alpha rho) T2 bound the sum of the absolute
     terms of P.  Stage 1 computes P (3 roundings in the coefficients, 4 in
     the assembly) with an error below 7 eps A, and adds k_lo = alpha (w_lo -
-    2 margin) or k_hi = alpha (w_hi + 2 margin), each 3 roundings of at most
-    alpha (|a| + |b| + 2 margin), before one last rounding of the sum.  The
-    margin, 16 eps ((rho + rho^2 / alpha) T2 + |a| + |b|), times alpha
-    already exceeds e alpha and all these errors, so the computed upper sum
-    is at least the exact upper end, and the computed lower sum, clipped at
+    margin) or k_hi = alpha (w_hi + margin), each within 2 roundings of
+    alpha (|a| + |b| + margin), before one last rounding of the sum, at most
+    eps (A + alpha (|a| + |b| + margin)).  The margin, 16 eps ((rho + rho^2 /
+    alpha) T2 + |a| + |b|), times alpha is 16 eps (A + alpha (|a| + |b|)),
+    and exceeds e alpha <= 5 eps A and all these errors (below 8 eps A + 4
+    eps alpha (|a| + |b|)), so the computed upper sum is at least the exact
+    upper end, and the computed lower sum, clipped at
     0 (no hole), at most the exact lower end clipped at 0.  Their correctly
     rounded square roots times the rounded 1 / alpha err by at most 3
     roundings of S / alpha, S bounding every square root (S^2 = 4 (rho^2 T2
@@ -333,10 +335,12 @@ def _live_columns(
     """Float columns [lo, hi] of each row u that stage 1 must scan, for p22 < 0.
 
     A pair can hold a hit only where p11 u^2 + p12 u v + p22 v^2 + k_hi is
-    not negative in exact arithmetic on these float coefficients: by the
-    argument of _rounding_margin with only the coefficients' roundings, it
-    is at least the exact upper end P + alpha (w_hi + e), which is at least
-    a hit's (alpha w + half)^2 >= 0.  With n = -p22 > 0 that is the
+    not negative in exact arithmetic on these float coefficients: the
+    coefficients err by at most 3 eps A together (_rounding_margin's
+    notation), and k_hi = alpha (w_hi + margin), within its 2 roundings,
+    exceeds alpha (w_hi + e) by more than that, so the sum is at least the
+    exact upper end P + alpha (w_hi + e), which is at least a hit's (alpha
+    w + half)^2 >= 0.  With n = -p22 > 0 that is the
     interval (v - vc)^2 <= h^2, vc = p12 u / (2 n), h^2 = (p11 u^2 + k_hi)
     / n + vc^2.  The float vc errs by 3 roundings (3 eps |vc|) and h^2 by
     less than 9 eps (r / n + vc^2), r = |p11| u^2 + |k_hi|.  16 eps (r / n
@@ -421,6 +425,13 @@ def _window_hits(
     the kept pairs are charged before they are built.  Stage 1 computes in
     four float and two bool scratch arrays allocated once per pass.
     """
+    # the disc of radius r - 2 lies inside the unit squares of the half disc's
+    # pairs, with room for the rounding of every row's ends: a disc that
+    # cannot fit the ceiling is refused before any array is built
+    r = math.sqrt(T2) - 2.0
+    least = 0.5 * math.pi * r * r if r > 0.0 else 0.0
+    if counter.used + least > counter.ceiling:
+        counter.add(least)
     M = form.matrix
     k = int(np.argmax(np.abs(np.diag(M))))
     i, j = (ax for ax in range(3) if ax != k)
@@ -519,7 +530,7 @@ def _window_hits(
             p11 = m_ik * m_ik - alpha * m_ii
             p12 = 2.0 * m_ik * m_jk - alpha * m_ij2
             p22 = m_jk * m_jk - alpha * m_jj
-            k_lo, k_hi = alpha * (c_lo - margin), alpha * (c_hi + margin)
+            k_lo, k_hi = alpha * c_lo, alpha * c_hi
             if p22 < 0.0:
                 lo, hi = _live_columns(us, vmin, vmax, p11, p12, p22, k_hi)
         live = lo <= hi
@@ -715,9 +726,14 @@ def count_vs_main_term(
     _check_count_args(a, b, T_list)
     blocks = _window_hits(form, a, b, max(T * T for T in T_list), _Capacity(_WORK))
     c_q, stderr = main_term_constant(q, delta=delta, samples=samples, seed=seed)
+    degenerate = b == a
+    if c_q == 0.0 and not degenerate:
+        raise ValueError(
+            f"the main term is 0: no Monte Carlo sample has |Q| <= delta = {delta:g}; "
+            "raise delta or samples"
+        )
     counts = _ladder_counts(blocks, T_list)
     reports = []
-    degenerate = b == a
     for T, n in zip(T_list, counts):
         main = c_q * (b - a) * T
         reports.append(

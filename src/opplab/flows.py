@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import SignatureMismatch, _Capacity
 from .forms import REFERENCE_FORM, as_form, normalize
-from .lattice import _reduce_frames
+from .lattice import _Frames, lll_reduce
 
 _DET_TOL = 1e-10
 
@@ -268,17 +268,18 @@ def _sample_bases(a_mat: np.ndarray, rs: np.ndarray, basis: np.ndarray) -> np.nd
 def _siegel_samples(bases, f_radius: float) -> tuple[np.ndarray, np.ndarray]:
     """(Siegel transforms of the bump, shortest vector lengths) at a block of lattices.
 
-    Each basis is reduced once, and one walk covers the bump balls of the
-    whole block (lattice._Frames.walk).  A sample's bump values are summed
-    one by one in its walk order: a cumulative sum along the sample's row of
-    a zero-padded block, never a pairwise sum.  A ball that holds a nonzero
-    point also holds the shortest vector, so its least norm is the shortest
-    length, with the same bits as shortest_vector_coeffs (same frame, same
-    norm sums); the samples whose balls hold none walk the balls of their
-    shortest reduced columns, again in one walk.
+    The block is reduced by one lll_reduce call, and one walk covers a ball
+    of every sample (lattice._Frames.walk): the bump ball, widened where
+    needed to the sample's shortest reduced column, so that every ball
+    holds the shortest vector.  Its least norm is the shortest length, with
+    the same bits as shortest_vector_coeffs (same frame, same norm sums).
+    A sample's bump values are summed one by one in its walk order: a
+    cumulative sum along the sample's row of a zero-padded block, never a
+    pairwise sum.  A point outside the bump ball adds 0.0, which leaves
+    every partial sum as it was.
     """
-    frames = _reduce_frames(bases)
-    _, norms2, owner = frames.walk(f_radius)
+    frames = _Frames(*lll_reduce(bases))
+    _, norms2, owner = frames.walk(np.maximum(f_radius, frames.shortest_radii()))
     counts = np.bincount(owner, minlength=len(frames))
     ends = np.cumsum(counts)
     col = np.arange(len(owner)) - (ends - counts)[owner]
@@ -289,11 +290,6 @@ def _siegel_samples(bases, f_radius: float) -> tuple[np.ndarray, np.ndarray]:
     totals = np.cumsum(grid, axis=1)[:, -1]
     least = np.full(len(frames), np.inf)
     np.minimum.at(least, owner, norms2)
-    empty = np.flatnonzero(counts == 0)
-    if len(empty):
-        rest = frames.take(empty)
-        _, norms2, owner = rest.walk(rest.shortest_radii())
-        np.minimum.at(least, empty[owner], norms2)
     return totals, np.sqrt(least)
 
 
@@ -305,9 +301,9 @@ def siegel_average(
     Sample points are equispaced in [0,1] with seeded jitter (variance
     reduction with honest randomization).  min_inj reports the shortest
     lattice vector seen over all samples, a Mahler-compactness diagnostic.
-    The samples run in blocks of _SAMPLE_BLOCK: each sample is reduced
-    once, and one walk per block covers the block's bump balls, from which
-    the shortest lengths are read too (see _siegel_samples).
+    The samples run in blocks of _SAMPLE_BLOCK: one lll_reduce call and
+    one walk per block, whose balls give the bump values and the shortest
+    lengths both (see _siegel_samples).
     """
     if not 1 < T < math.inf:
         raise ValueError(f"T must be finite and > 1, got {T}")

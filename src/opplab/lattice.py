@@ -7,10 +7,12 @@ ball enumeration is Fincke-Pohst, walking nested coordinate intervals of
 the Cholesky factor from the last coordinate inward.  Dimensions here are
 tiny (3 for lattices in space, 7 for the Diophantine candidate lattice in
 module approx), so reduction runs on Python floats and ints, one basis at
-a time.  A 3x3 basis is reduced by an unrolled body (``_lll_3d``) that
-holds each column in three float locals; any other size runs the general
-loop (``_lll_general``, one list per column), whose only caller is the 7-D
-heuristic candidate lattice and which goes when that path is deleted.
+a time; lll_reduce, the one entry point, takes one basis or a stack of
+them and makes its checks once per stack.  A 3x3 basis is reduced by an
+unrolled body (``_lll_3d``) that holds each column in three float locals;
+any other size runs the general loop (``_lll_general``, one list per
+column), whose only caller is the 7-D heuristic candidate lattice and
+which goes when that path is deleted.
 Both take the same steps with the same sums, so they return the same
 bits; the tests compare them with each other and with a numpy reference.
 Both keep the Gram-Schmidt rows of the columns they have not touched and
@@ -20,7 +22,7 @@ Ball walks run in numpy on a block of reduced frames (``_Frames``) at
 once: each level of the walk (m2 values, m1 rows, m0 slots) is expanded
 for every frame of the block together, in chunks of at most
 ``_WALK_CHUNK`` entries.  One frame is the block of one; the Siegel samples
-of module flows walk 64 at a time.
+of module flows are reduced and walked 64 at a time.
 
 Dot products and lattice vectors are plain sums in a fixed order, taken
 by scalar or elementwise operations and never by a BLAS product (whose
@@ -190,15 +192,17 @@ def _reduced_arrays(cols, U) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
-    """LLL-reduce the columns of ``basis`` with delta = 0.99.
+    """LLL-reduce the columns of one (n, n) basis, or of each in a (K, n, n) stack.
 
-    Returns (reduced, transform) with reduced = basis @ transform and
-    transform integral unimodular (float64 and int64 arrays).  The
-    iteration count is capped; hitting the cap leaves a partially reduced
-    basis, which only costs enumeration speed, never correctness.  A
-    transform entry beyond the int64 range raises CapacityExceeded, and so
-    does a basis too large to scale into float64 (below).  A NaN or
-    infinite entry raises ValueError.
+    Returns (reduced, transform), shaped like ``basis``, with reduced =
+    basis @ transform and transform integral unimodular (float64 and int64
+    arrays), delta = 0.99.  The checks below are made once for a stack and
+    applied basis by basis, so each basis gets the bits of its own call.
+    The iteration count is capped; hitting the cap leaves a partially
+    reduced basis, which only costs enumeration speed, never correctness.
+    A transform entry beyond the int64 range raises CapacityExceeded, and
+    so does a basis too large to scale into float64 (below).  A NaN or
+    infinite entry, or a singular basis, raises ValueError.
 
     A 3x3 basis runs the unrolled body ``_lll_3d``; any other size runs
     ``_lll_general``, whose one caller is the 7-D candidate lattice of
@@ -217,52 +221,35 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
     Every basis whose squared norms fit is reduced unscaled, bit for bit.
     """
     B = np.array(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"expected a square basis matrix, got shape {B.shape}")
-    cols = B.T.tolist()
-    scale = 0
-    if not all(math.isfinite(_dot(c, c)) for c in cols):
-        if not np.isfinite(B).all():
+    if B.ndim not in (2, 3) or B.shape[-1] != B.shape[-2]:
+        raise ValueError(f"expected a square basis matrix or a stack of them, got shape {B.shape}")
+    stack = B.reshape(-1, *B.shape[-2:])
+    over = []  # the bases whose squared column norms overflow; none below 2^500
+    if not np.abs(stack).max() < 2.0**500:
+        rows = stack.transpose(1, 0, 2)  # row i of every basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            over = np.flatnonzero(~np.isfinite(_dot(rows, rows)).all(axis=1))
+    if len(over):
+        if not np.isfinite(stack).all():
             raise ValueError("basis has a non-finite entry")
-        scale = math.frexp(float(np.abs(B).max()))[1]
-        scaled = np.ldexp(B, -scale)
-        if not np.array_equal(np.ldexp(scaled, scale), B):
+        scale = np.frexp(np.abs(stack[over]).max(axis=(1, 2)))[1][:, None, None]
+        scaled = np.ldexp(stack[over], -scale)
+        if not np.array_equal(np.ldexp(scaled, scale), stack[over]):
             raise CapacityExceeded(
                 "basis is too large to reduce in float64: a squared column norm is not "
                 "finite, and its entries span too many binades to scale"
             )
-        B = scaled
-        cols = B.T.tolist()
-    if abs(np.linalg.det(B)) == 0.0:
+        stack[over] = scaled
+    if (np.linalg.det(stack) == 0.0).any():
         raise ValueError("basis is singular")
-    body = _lll_3d if B.shape[1] == 3 else _lll_general
-    cols, U = body(cols)
+    body = _lll_3d if stack.shape[1] == 3 else _lll_general
+    cols, U = zip(*map(body, stack.swapaxes(1, 2).tolist()))
     reduced, transform = _reduced_arrays(cols, U)
-    if scale:
-        reduced = np.ldexp(reduced, scale)
-        if not np.isfinite(reduced).all():
+    if len(over):
+        reduced[over] = np.ldexp(reduced[over], scale)
+        if not np.isfinite(reduced[over]).all():
             raise CapacityExceeded("LLL-reduced basis is too large for float64")
-    return reduced, transform
-
-
-def _reduce_frames(bases) -> "_Frames":
-    """The frames of a block of 3x3 bases, each reduced once by ``_lll_3d``.
-
-    The same reductions, with the same bits, as lll_reduce basis by basis,
-    with its checks made once for the block.  A block with a squared column
-    norm past float64 is reduced basis by basis by lll_reduce, which scales
-    such a basis or names what is wrong with it.
-    """
-    B = np.asarray(bases, dtype=float)
-    coords = np.moveaxis(B, 1, 0)  # coordinate i of every column of every basis
-    with np.errstate(over="ignore"):
-        norms2 = _dot(coords, coords)
-    if not np.all(np.isfinite(norms2)):
-        return _Frames(*(np.stack(part) for part in zip(*map(lll_reduce, B))))
-    if np.any(np.linalg.det(B) == 0.0):
-        raise ValueError("basis is singular")
-    cols, U = zip(*map(_lll_3d, B.swapaxes(1, 2).tolist()))
-    return _Frames(*_reduced_arrays(cols, U))
+    return reduced.reshape(B.shape), transform.reshape(B.shape)
 
 
 def _basis3(basis) -> np.ndarray:

@@ -57,8 +57,10 @@ fixed-order arithmetic.  A configuration charges its n^2 pairs to the
 package's work ceiling (errors.DEFAULT_CEILING, the same one that bounds
 every enumeration), so above 31,622 points it raises CapacityExceeded
 before any point is drawn or any tile is built.  A survey also charges
-its r values, and improvement_step_sim its profiles, before the first tile
-(see _ITEM_WORK).
+its r values, improvement_step_sim its profiles and
+nonconcentration_constant its dyadic scales, before the first tile (see
+_ITEM_WORK).  The kernel refuses points whose squared distances would
+overflow float64, such as a configuration transported by a large ell.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyConfig, _Capacity
-from .util import parallel_map, uniform_ball
+from .util import parallel_map, power, uniform_ball
 
 #: a_t-weight of each coordinate.
 WEIGHTS = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
@@ -240,7 +242,11 @@ def _pair_tiles(x: np.ndarray):
     """
     n = len(x)
     _check_point_ceiling(n)
-    sq = np.sum(x**2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(x**2, axis=1)
+    # every |d2| is at most 4 max(sq); past that the tiles overflow to inf or NaN
+    if not np.all(sq <= 0.25 * np.finfo(float).max):
+        raise ValueError("the points are too far apart: their squared distances overflow float64")
     d2_buf, gram_buf = _tile_buffer(n), _tile_buffer(n)
     step = len(d2_buf)
     for i in range(0, n, step):
@@ -260,10 +266,21 @@ def _require_unit_ball(config: FiniteConfig) -> np.ndarray:
     if len(config) == 0:
         raise EmptyConfig("the configuration has no points")
     pts = config.points
-    top = float(np.max(np.linalg.norm(pts, axis=1)))
+    with np.errstate(over="ignore"):  # a norm past float64 is inf, and out of the ball
+        top = float(np.max(np.linalg.norm(pts, axis=1)))
     if top > 1.0 + 1e-9:
         raise ValueError(f"points must lie in the closed unit ball (max norm {top:.6g})")
     return pts
+
+
+def _check_scale(alpha: float, b1: float) -> None:
+    """alpha in (0, 2] and b1 in (0, 1] with b1^-alpha, so every b^-alpha for b >= b1, finite."""
+    if not 0 < alpha <= 2:
+        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
+    if not 0 < b1 <= 1:
+        raise ValueError(f"b1 must be in (0, 1], got {b1}")
+    if not power(b1, -alpha) < math.inf:
+        raise ValueError(f"b1**-alpha overflows float64 at b1={b1}, alpha={alpha}")
 
 
 def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> float:
@@ -273,15 +290,16 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     b1, 2*b1, 4*b1, ..., capped at 1; the continuous supremum over
     b in [b1, 1] exceeds this by at most a factor 2^alpha.
     """
-    if not 0 < alpha <= 2:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    if not 0 < b1 <= 1:
-        raise ValueError(f"b1 must be in (0, 1], got {b1}")
+    _check_scale(alpha, b1)
     pts = _require_unit_ball(config)
     n = len(pts)
     scales = [b1]
     while scales[-1] < 1.0:
         scales.append(min(2.0 * scales[-1], 1.0))
+    # one pass over the pairs per scale
+    _Capacity(f"scanned-pair units of {len(scales)} scales on {n} points").add(
+        len(scales) * (n * n // _PAIRS_PER_UNIT)
+    )
     top = [0] * len(scales)
     mask_buf = _tile_buffer(n, bool)
     for _, d2 in _pair_tiles(pts):
@@ -315,10 +333,7 @@ class ProjectionParams:
     egbd: float
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 2:
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not 0 < self.b1 <= 1:
-            raise ValueError(f"b1 must be in (0, 1], got {self.b1}")
+        _check_scale(self.alpha, self.b1)
         if not self.b1 <= self.b < math.inf:
             raise ValueError(f"need finite b >= b1, got b={self.b}, b1={self.b1}")
         if not 0 < self.eps < 1e-4 * self.alpha:
@@ -397,7 +412,9 @@ def projection_survey(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     b, alpha = params.b, params.alpha
-    bound = survey_const * params.egbd * b ** (alpha - survey_exp * params.eps) * n
+    bound = survey_const * params.egbd * power(b, alpha - survey_exp * params.eps) * n
+    if not math.isfinite(bound):
+        raise ValueError(f"the count bound survey_const egbd b**(alpha - survey_exp eps) n is {bound}")
     threshold = b**params.eps
     b2 = b * b
     self_term = 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
@@ -450,6 +467,8 @@ class MargulisParams:
             raise ValueError(f"truncation must be a nonnegative integer, got {self.truncation}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not power(self.b, -self.alpha) < math.inf:
+            raise ValueError(f"b**-alpha overflows float64 at b={self.b}, alpha={self.alpha}")
 
 
 def margulis_value(neighbors, params: MargulisParams) -> float:
@@ -591,7 +610,8 @@ def improvement_step_sim(
     rhos = (np.arange(r_samples) + rng.random(r_samples)) / r_samples
 
     def one_rho(rho: float) -> tuple[np.ndarray, float]:
-        moved = adjoint_a(ell, adjoint_u(rho, pts))
+        with np.errstate(over="ignore", invalid="ignore"):  # _pair_tiles refuses what overflows
+            moved = adjoint_a(ell, adjoint_u(rho, pts))
         new, new_floor = _margulis_profile(moved, b, truncation, alpha)
         _reject_undefined_ratios(pts, old, new)
         return new / old, float(np.mean(new_floor))

@@ -10,6 +10,7 @@ byte.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -111,3 +112,15 @@ def weighted_mean_stderr(values: Sequence[float], weights: Sequence[float]) -> t
     # unbiased-ish spread of the weighted mean; exact for equal weights
     var = float(np.sum(w**2 * (v - mean) ** 2) * len(v) / (len(v) - 1))
     return mean, var**0.5
+
+
+def power(x: float, e: float) -> float:
+    """x**e for x >= 0, inf where it overflows (0 to a negative power included).
+
+    Python's float ** raises OverflowError or ZeroDivisionError there; the
+    callers test the result against their own domain instead.
+    """
+    try:
+        return x**e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf

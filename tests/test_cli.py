@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 SQF2 = "[1,-1,-1.4142135623730951]"
 #: sample bases at these T have squared column norms past the float64 range
 HUGE_T = ("1e160", "1e300")
+#: margulis flow times whose transport overflows the squared distances
+MARGULIS_HUGE_ELL = ("180", "200", "1e300", "-1e300")
 
 GOLDEN_CASES = {
     "witness.csv": [
@@ -155,6 +158,26 @@ def test_golden_json_outputs_parse():
         ["witness", "--form", SQF2, "--grid", "1e-9", "--T", "10"],
         # a bump ball whose squared radius overflows float64
         ["equidist", "--form", SQF2, "--T", "20", "--N", "10", "--f-radius", "1e300"],
+        # a disc past the float range, or one refused by its closed-form size
+        # before any array is built; a main term of 0 (no sample has |Q| <= delta)
+        ["count", "--form", SQF2, "--a=-1", "--b=1", "--T", "1e300"],
+        ["count", "--form", SQF2, "--a=-1", "--b=1", "--T", "1e8"],
+        ["count", "--form", SQF2, "--a=-1", "--b=1", "--T", "10", "--samples", "10000", "--delta", "1e-300"],
+        # powers of R past the float range
+        ["dichotomy", "--form", SQF2, "--R", "1e300", "--T", "100"],
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "100", "--a-exp=1e300"],
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "100", "--k-exp=1e300"],
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "100", "--k-exp=-1e300"],
+        # scales whose powers leave float64, and a count bound past it
+        ["projection", "--random-theta", "200", "--b", "1e-300"],
+        ["projection", "--random-theta", "200", "--b1", "1e-300"],
+        ["projection", "--random-theta", "200", "--c", "1e300"],
+        ["projection", "--random-theta", "6000", "--r-grid", "0.5", "--b1", "1e-200"],
+        # 500 dyadic scales, one pass over the pairs each, refused before the first
+        ["projection", "--random-theta", "6000", "--r-grid", "0.5", "--b1", "1e-150"],
+        ["margulis", "--random-theta", "200", "--b", "1e-300"],
+        # transported points whose squared distances overflow float64
+        *(["margulis", "--random-theta", "200", f"--ell={ell}"] for ell in MARGULIS_HUGE_ELL),
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -165,6 +188,29 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
         assert "too large to reduce in float64" in captured.err
     if any(arg.startswith("--grid") for arg in argv):
         assert "witness targets" in captured.err and "ceiling" in captured.err
+
+
+def test_an_oversized_count_disc_exits_before_any_array_is_built(monkeypatch, capsys):
+    # 1.6e16 pairs at T = 1e8: the closed-form size refuses the disc before
+    # the rows (two arrays of 10^8 floats) are built
+    def no_rows(*args, **kwargs):
+        raise AssertionError("the disc's rows were built")
+
+    monkeypatch.setattr(opplab.enumeration, "_rounding_margin", no_rows)
+    assert main(["count", "--form", SQF2, "--a=-1", "--b=1", "--T", "1e8"]) == 1
+    assert "exceed the ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell", MARGULIS_HUGE_ELL)
+def test_margulis_transport_past_float64_exits_1(ell, capsys):
+    # the transported points' squared distances overflow: their NaN distances
+    # used to compare false, so the run printed the --ell 20 result, with
+    # numpy's overflow warnings on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["margulis", "--random-theta", "200", f"--ell={ell}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow float64" in err
 
 
 def test_an_oversized_r_count_exits_before_measuring_the_configuration(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -149,6 +150,69 @@ def test_cli_fuzz_counts_are_charged_before_the_work(argv):
     assert rc in (0, 1), argv
     if rc == 1:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+#: a float option's value, log-uniform in magnitude from 1e-300 to 1e300, either sign
+WIDE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+    lambda t: repr(t[0] * 10.0 ** t[1])
+)
+WIDE_LIST = st.lists(WIDE, min_size=1, max_size=3).map(",".join)
+
+FUZZ_WIDE_ARGV = st.one_of(
+    _argv(
+        "witness", ("--form", st.just(SQF2)), ("--s-min", WIDE), ("--s-max", WIDE), ("--grid", WIDE),
+        ("--eps", WIDE), ("--T", WIDE),
+    ),
+    _argv(
+        "count", ("--form", st.just(SQF2)), ("--a", WIDE), ("--b", WIDE), ("--T", WIDE_LIST),
+        ("--delta", WIDE), ("--samples", st.just("10000")),
+    ),
+    _argv("cq", ("--form", st.just(SQF2)), ("--delta", WIDE), ("--samples", st.just("10000"))),
+    _argv(
+        "rational", ("--form", st.just(SQF2)), ("--R", WIDE_LIST),
+        ("--exhaustive-limit", st.integers(0, 6).map(str)),
+    ),
+    _argv(
+        "dichotomy", ("--form", st.just(SQF2)), ("--R", WIDE), ("--T", WIDE), ("--eps", WIDE),
+        ("--grid", WIDE), ("--a-exp", WIDE), ("--k-exp", WIDE), ("--coverage-floor", WIDE),
+    ),
+    _argv(
+        "equidist", ("--form", st.just(SQF2)), ("--T", WIDE_LIST), ("--N", st.just("10")),
+        ("--f-radius", WIDE),
+    ),
+    _argv(
+        "projection", ("--random-theta", st.integers(1, 20).map(str)), ("--ball-radius", WIDE),
+        ("--alpha", WIDE), ("--b", WIDE), ("--b1", WIDE), ("--pvare", WIDE), ("--C", WIDE),
+        ("--c", WIDE), ("--r-grid", WIDE_LIST),
+    ),
+    _argv(
+        "margulis", ("--random-theta", st.integers(1, 10).map(str)), ("--ball-radius", WIDE),
+        ("--alpha", WIDE), ("--ell", WIDE), ("--b", WIDE), ("--r-samples", st.just("2")),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=3000, derandomize=True, database=None)
+@given(FUZZ_WIDE_ARGV)
+def test_cli_fuzz_float_options_over_the_double_range(argv):
+    # every float option from 1e-300 to 1e300 in magnitude, either sign:
+    # a value out of a command's domain, or one whose work or result leaves
+    # float64, exits 1 with a message, at once, under the 10^6 ceiling of
+    # the test above.  dichotomy's exit 2 is its documented coverage verdict
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a numpy overflow warning would print on stderr
+        mp.setattr(errors, "DEFAULT_CEILING", 10**6)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert rc in ((0, 1, 2) if argv[0] == "dichotomy" else (0, 1)), argv
+    if rc == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())
+        if "--format=json" in argv:
+            json.loads(out.getvalue(), parse_constant=_reject_nonfinite)
 
 
 def _reject_nonfinite(name):

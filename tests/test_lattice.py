@@ -104,6 +104,43 @@ def test_lll_refuses_an_overflowing_basis_it_cannot_scale_exactly():
         lll_reduce(np.diag([1e200, 1e-200, 1.0]))
 
 
+def _same_as_one_call_per_basis(stack):
+    red, u = lll_reduce(stack)
+    assert red.shape == u.shape == np.shape(stack)
+    for k, basis in enumerate(stack):
+        want_red, want_u = lll_reduce(basis)
+        assert np.array_equal(red[k], want_red) and np.array_equal(u[k], want_u)
+
+
+def test_lll_reduces_a_stack_as_one_call_per_basis():
+    # the checks are made once for the stack and applied basis by basis, so
+    # each basis of a stack gets the bits of its own call, the scaled path too
+    rng = np.random.default_rng(35)
+    unimodular = [elementary_unimodular(rng, steps=12).astype(float) for _ in range(50)]
+    huge = np.array([[1e200, 3e199, -7e198], [2e199, 1e200, 5e199], [0.0, -4e199, 1e200]])
+    mixed = [rand_basis(rng), huge, rand_basis(rng), -1e50 * huge.T, rand_basis(rng)]
+    for stack in (_siegel_bases(), unimodular, mixed, [rand_basis(rng, 7) for _ in range(5)]):
+        _same_as_one_call_per_basis(np.array(stack))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]),
+        np.diag([1.0, math.nan, 1.0]),
+        np.diag([1.0, 1.0, -math.inf]),
+        np.diag([1e200, 1e-200, 1.0]),
+    ],
+    ids=["singular", "nan", "inf", "unscalable"],
+)
+def test_lll_stack_holding_a_bad_basis_raises_as_its_own_call(bad):
+    with pytest.raises((ValueError, CapacityExceeded)) as one:
+        lll_reduce(bad)
+    with pytest.raises(type(one.value)) as many:
+        lll_reduce(np.array([np.eye(3), bad, 2.0 * np.eye(3)]))
+    assert type(many.value) is type(one.value) and str(many.value) == str(one.value)
+
+
 def test_enumerate_ball_matches_brute_box():
     rng = np.random.default_rng(23)
     for _ in range(15):
@@ -547,7 +584,9 @@ def test_an_overflowing_ball_raises_before_the_walk_starts(monkeypatch, radius):
 @pytest.mark.parametrize("f_radius", [1.5, 0.05])
 def test_siegel_sample_reads_shortest_length_off_the_bump_ball(monkeypatch, f_radius):
     # f_radius 1.5 holds a nonzero point at every sample, 0.05 at none, so the
-    # two cover the bump-ball minimum and the second walk
+    # two cover the bump-ball minimum and the ball widened to the shortest
+    # reduced column; either way one walk per sample, and one per
+    # shortest_vector_coeffs call
     walks = []
     walk = lattice._Frames.walk
 
@@ -559,7 +598,7 @@ def test_siegel_sample_reads_shortest_length_off_the_bump_ball(monkeypatch, f_ra
     monkeypatch.setattr(lattice._Frames, "walk", counting)
     for b in bases:
         assert flows._siegel_samples([b], f_radius)[1][0] == shortest_vector_coeffs(b)[1]
-    assert len(walks) == len(bases) * (2 if f_radius == 1.5 else 3)
+    assert len(walks) == len(bases) * 2
 
 
 def test_ceiling_trips_before_the_walk_stores_points():
