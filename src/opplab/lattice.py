@@ -240,7 +240,7 @@ def lll_reduce(basis) -> tuple[np.ndarray, np.ndarray]:
                 "finite, and its entries span too many binades to scale"
             )
         stack[over] = scaled
-    if (np.linalg.det(stack) == 0.0).any():
+    if not np.linalg.det(stack).all():  # a zero determinant
         raise ValueError("basis is singular")
     body = _lll_3d if stack.shape[1] == 3 else _lll_general
     cols, U = zip(*map(body, stack.swapaxes(1, 2).tolist()))

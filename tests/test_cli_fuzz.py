@@ -192,7 +192,7 @@ FUZZ_WIDE_ARGV = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=3000, derandomize=True, database=None)
+@settings(max_examples=600, deadline=3000, derandomize=True, database=None)
 @given(FUZZ_WIDE_ARGV)
 def test_cli_fuzz_float_options_over_the_double_range(argv):
     # every float option from 1e-300 to 1e300 in magnitude, either sign:

@@ -104,14 +104,6 @@ def test_lll_refuses_an_overflowing_basis_it_cannot_scale_exactly():
         lll_reduce(np.diag([1e200, 1e-200, 1.0]))
 
 
-def _same_as_one_call_per_basis(stack):
-    red, u = lll_reduce(stack)
-    assert red.shape == u.shape == np.shape(stack)
-    for k, basis in enumerate(stack):
-        want_red, want_u = lll_reduce(basis)
-        assert np.array_equal(red[k], want_red) and np.array_equal(u[k], want_u)
-
-
 def test_lll_reduces_a_stack_as_one_call_per_basis():
     # the checks are made once for the stack and applied basis by basis, so
     # each basis of a stack gets the bits of its own call, the scaled path too
@@ -120,7 +112,11 @@ def test_lll_reduces_a_stack_as_one_call_per_basis():
     huge = np.array([[1e200, 3e199, -7e198], [2e199, 1e200, 5e199], [0.0, -4e199, 1e200]])
     mixed = [rand_basis(rng), huge, rand_basis(rng), -1e50 * huge.T, rand_basis(rng)]
     for stack in (_siegel_bases(), unimodular, mixed, [rand_basis(rng, 7) for _ in range(5)]):
-        _same_as_one_call_per_basis(np.array(stack))
+        red, u = lll_reduce(np.array(stack))
+        assert red.shape == u.shape == np.shape(stack)
+        for k, basis in enumerate(stack):
+            want_red, want_u = lll_reduce(basis)
+            assert np.array_equal(red[k], want_red) and np.array_equal(u[k], want_u)
 
 
 @pytest.mark.parametrize(
