@@ -13,8 +13,10 @@ Each side runs from its own clone at its commit (``bench_pairs.checkout``,
 so the clones are shared with scripts/bench_pairs.py).  Pair i runs
 ``python -m opplab <argv>`` once per side, one process after the other,
 the parent first in even pairs and the change first in odd ones, with
-PYTHONPATH set to the side's ``src``.  Both sides must print the same
-stdout bytes and exit 0; otherwise the script stops with an error.
+PYTHONPATH set to the side's ``src``.  Every run must exit with the same
+code and print the same stdout and stderr bytes as the first; otherwise
+the script stops with an error.  So a run that ends at an error, such as
+the work ceiling, can be timed too; the summary names the exit code.
 
 Per side it prints the median and quartiles (statistics.quantiles,
 inclusive) of the wall time, of the CPU time (user + system, from wait4)
@@ -41,8 +43,8 @@ from bench_pairs import SIDES, WORKDIR, checkout, summary  # noqa: E402
 METRICS = ("wall_s", "cpu_s", "maxrss_mb")
 
 
-def run_once(clone: Path, argv: list[str]) -> tuple[bytes, dict]:
-    """Run ``python -m opplab argv`` from ``clone``; return (stdout, metrics)."""
+def run_once(clone: Path, argv: list[str]) -> tuple[tuple[int, bytes, bytes], dict]:
+    """Run ``python -m opplab argv`` from ``clone``; return ((exit code, stdout, stderr), metrics)."""
     env = dict(os.environ, PYTHONPATH=str(clone / "src"))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
@@ -53,12 +55,9 @@ def run_once(clone: Path, argv: list[str]) -> tuple[bytes, dict]:
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        if proc.returncode != 0:
-            tail = err.read().decode()[-2000:]
-            raise SystemExit(f"error: opplab exited {proc.returncode} in {clone}: {tail}")
         # ru_maxrss is in KiB on Linux
-        return out.read(), {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
-                            "maxrss_mb": usage.ru_maxrss / 1024}
+        return (proc.returncode, out.read(), err.read()), {
+            "wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def main() -> int:
@@ -87,7 +86,8 @@ def main() -> int:
             if expected is None:
                 expected = out
             elif out != expected:
-                raise SystemExit(f"error: pair {i}: the {side} side printed other stdout bytes")
+                raise SystemExit(f"error: pair {i}: the {side} side exited {out[0]} (first run: "
+                                 f"{expected[0]}) or printed other stdout or stderr bytes: {out[2][-2000:]!r}")
         for m in METRICS:
             for side in SIDES:
                 values[side][m].append(pair[side][m])
@@ -97,13 +97,13 @@ def main() -> int:
 
     print(f"opplab {' '.join(argv)}")
     print(f"parent {clones['parent'][0][:12]}, change {clones['change'][0][:12]}, {args.pairs} pairs, "
-          "same stdout bytes on every run")
+          f"exit code {expected[0]} and the same stdout and stderr bytes on every run")
     for m in METRICS:
         cells = []
         for side in SIDES:
             s = summary(values[side][m])
             cells.append(f"{side} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
-        print(f"{m}: {'; '.join(cells)}; change lower in {lower[m]}/{args.pairs}")
+        print(f"{m} (exit {expected[0]}): {'; '.join(cells)}; change lower in {lower[m]}/{args.pairs}")
     return 0
 
 

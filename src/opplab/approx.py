@@ -35,9 +35,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .enumeration import WitnessTable, witness_table
+from .enumeration import WitnessTable, _canonical_mask, witness_table
 from .errors import NoCandidate, _Capacity
-from .forms import NormalizedForm, as_form, normalize
+from .forms import NormalizedForm, as_form, gram_determinant, normalize
 from .lattice import lll_reduce
 from .util import power
 
@@ -61,9 +61,7 @@ class IntegralForm:
 
     def determinant(self) -> int:
         """Exact integer determinant of the Gram matrix."""
-        a, b, c = self.m11, self.m22, self.m33
-        d, e, f = self.m12, self.m13, self.m23
-        return a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+        return gram_determinant(*self.entries)
 
     def sup_norm(self) -> int:
         return max(abs(x) for x in self.entries)
@@ -107,21 +105,10 @@ _MULTIPLE_WORK = 200
 _STEP_WORK = 1_000
 
 
-def _canonical_mask(m: np.ndarray) -> np.ndarray:
-    """Rows of m whose first nonzero entry is positive: one of each pair +-Q'."""
-    nz = m != 0
-    first = m[np.arange(len(m)), np.argmax(nz, axis=1)]
-    return nz.any(axis=1) & (first > 0)
-
-
 def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int, ...]]]:
     """Least (dist, entries) over the canonical nondegenerate rows of m (n x 6 int64)."""
     m11, m22, m33, m12, m13, m23 = m.T
-    det = (
-        m11 * (m22 * m33 - m23 * m23)
-        - m12 * (m12 * m33 - m23 * m13)
-        + m13 * (m12 * m23 - m22 * m13)
-    )
+    det = gram_determinant(*m.T)
     valid = (det != 0) & _canonical_mask(m)
     if not np.any(valid):
         return None
@@ -229,7 +216,7 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
     # the walk is charged to the work ceiling before it runs, and every box
     # before any tile is built
     tally = _Capacity(f"candidates of the certified search at R={r}")
-    tally.add(_STEP_WORK * (r + 1))
+    tally.add(_upfront_work(q6, r, True))
     boxes = list(_search_boxes(q6, r, d))
     for ranges in boxes:
         tally.add(math.prod(hi - lo + 1 for lo, hi in ranges))
@@ -244,28 +231,40 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
     return IntegralForm(*best[1])
 
 
+def _multiples(q6: np.ndarray, r: int) -> int:
+    """How many integer multiples n q the heuristic pool rounds at bound r."""
+    return min(int(r / max(float(np.max(np.abs(q6))), 1e-12)) + 1, 200_000)
+
+
+def _upfront_work(q6: np.ndarray, r: int, certified: bool) -> int:
+    """Candidates a search at bound r charges before it starts: the m11 walk
+    of _search_boxes if certified, else the heuristic pool's integer multiples.
+    """
+    return _STEP_WORK * (r + 1) if certified else _MULTIPLE_WORK * _multiples(q6, r)
+
+
 def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
     """Non-certified candidate pool: rounded multiples and reduced lattice columns."""
     cands: set[tuple[int, ...]] = set()
     cands.add((1, -1, -1, 0, 0, 0))  # guarantees a nondegenerate fallback
 
-    top = float(np.max(np.abs(q6)))
-    n_max = min(int(r / max(top, 1e-12)) + 1, 200_000)
-    _Capacity(f"candidates of the heuristic pool at R={r}").add(n_max * _MULTIPLE_WORK)
-    ns = np.arange(1, n_max + 1, dtype=float)
+    _Capacity(f"candidates of the heuristic pool at R={r}").add(_upfront_work(q6, r, False))
+    ns = np.arange(1, _multiples(q6, r) + 1, dtype=float)
     mult = np.rint(ns[:, None] * q6[None, :]).astype(np.int64)
     ok = np.max(np.abs(mult), axis=1) <= r
     for row in mult[ok]:
         cands.add(tuple(int(x) for x in row))
 
-    # lattice of pairs (n, m): short vectors of (n, W*(n*q - m)) give m ~ n*q
-    for w_scale in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
-        basis = np.zeros((7, 7))
-        basis[0, 0] = 1.0
-        basis[1:, 0] = w_scale * q6
-        for i in range(6):
-            basis[1 + i, 1 + i] = -w_scale
-        _, transform = lll_reduce(basis)
+    # lattices of pairs (n, m), one per weight W, reduced as one stack: short
+    # vectors of (n, W*(n*q - m)) give m ~ n*q
+    scales = np.array([1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    bases = np.zeros((len(scales), 7, 7))
+    bases[:, 0, 0] = 1.0
+    bases[:, 1:, 0] = scales[:, None] * q6
+    for i in range(6):
+        bases[:, 1 + i, 1 + i] = -scales
+    _, transforms = lll_reduce(bases)
+    for transform in transforms:
         for col in range(7):
             n = int(transform[0, col])
             if n == 0:
@@ -277,6 +276,13 @@ def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
     return [f for f in forms if f.determinant() != 0]
 
 
+def _entry_bound(R: float) -> int:
+    """floor(R) of an entry bound R, which must be finite and at least 1."""
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
+    return int(math.floor(R))
+
+
 def best_rational_approx(
     q, R: float, *, exhaustive_limit: int = EXHAUSTIVE_LIMIT
 ) -> ApproxResult:
@@ -286,10 +292,8 @@ def best_rational_approx(
     heuristic upper bound otherwise.  Ties resolve to the lexicographically
     least canonical representative, so results are deterministic.
     """
-    if not 1 <= R < math.inf:
-        raise ValueError(f"R must be finite and >= 1, got {R}")
+    r = _entry_bound(R)
     q6 = np.asarray(as_form(q).entries, dtype=float)
-    r = int(math.floor(R))
     if r <= exhaustive_limit:
         qprime = _exhaustive_search(q6, r)
         certified = True
@@ -444,13 +448,19 @@ def algebraicity_gap(q, R_list: Sequence[float], *, exhaustive_limit: int = EXHA
     found at any bound up to R, which makes the column non-increasing even
     on the heuristic path (the exhaustive path is nested, hence already
     monotone).  When at least two distances are positive, a log-log least
-    squares fit dist ~ c * R^(-E) is reported.
+    squares fit dist ~ c * R^(-E) is reported.  What every search charges
+    up front (_upfront_work) is charged for the whole ladder, to one tally,
+    before the first search, so a long ladder raises at once.
     """
     rs = [float(x) for x in R_list]
     if not rs:
         raise ValueError("R_list must be nonempty")
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("R_list must be strictly ascending")
+    q6 = np.asarray(as_form(q).entries, dtype=float)
+    _Capacity(f"candidates of the searches of a ladder of {len(rs)} entry bounds").add(
+        sum(_upfront_work(q6, r, r <= exhaustive_limit) for r in map(_entry_bound, rs))
+    )
     rows: list[GapRow] = []
     best: Optional[ApproxResult] = None
     for R in rs:

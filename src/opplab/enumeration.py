@@ -55,7 +55,10 @@ interval of each row only, found once per row, and stage 1 scans just those
 columns (_live_columns).  Stage 2 takes the kept pairs' mid, s_lo and s_hi,
 clips the two segments to the ball and evaluates the integers in them.  The
 linear branch (alpha near 0) and a margin past the float range have no
-stage 1; there stage 2 derives each pair's interval itself.
+stage 1; there stage 2 derives each pair's interval itself.  Both stages
+expand integer intervals through util.expand_ranges, as the lattice walk
+does, and stage 2 builds, evaluates and filters its candidates one chunk of
+2,048 at a time, so a wide window runs in a few MiB.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import numpy as np
 
 from .errors import DefiniteForm, _Capacity
 from .forms import TernaryForm, as_form
-from .util import chunk_sizes, spawn_rngs, uniform_ball, weighted_mean_stderr
+from .util import chunk_sizes, expand_ranges, spawn_rngs, uniform_ball, weighted_mean_stderr
 
 #: What one call charges to the work ceiling (errors.DEFAULT_CEILING): the
 #: (u, v) pairs every _window_hits pass scans plus the candidate vectors it
@@ -77,19 +80,25 @@ from .util import chunk_sizes, spawn_rngs, uniform_ball, weighted_mean_stderr
 #: whole disc before its first block, so a T too large for the ceiling
 #: raises at once instead of after the scan.  Only the pairs stage 1 keeps
 #: charge candidates: the integers of their segments, clipped to the ball.
+#: The two kinds of unit cost differently (in-process, 2 cores, numpy
+#: 2.4.6): a scanned pair 7.5 ns on SQF2 over [-1, 1] at T = 3000, where
+#: stage 1 scans the live columns, and 16 ns where it scans whole rows; a
+#: candidate 82 ns (SQF2 over [-1e8, 1e8] at T = 150) to 111 ns (the same
+#: window at T = 1000, which stops at the ceiling after 111 s).
 _WORK = "scanned pairs and candidates of the window enumeration"
 
 #: What one Monte Carlo sample of main_term_constant charges, in the same
-#: unit: about three scanned pairs' time (10^6 samples in 0.17 s against
-#: 70 ns a pair).  A call charges all its samples before its first chunk.
+#: unit.  Set at three pairs of 70 ns; a sample now costs 94 ns (10^6 in
+#: 0.094 s), 31 ns a unit.  A call charges all its samples before its
+#: first chunk.
 _SAMPLE_WORK = 3
 
 #: What one target of witness_table charges per shell, in the same unit: a
-#: shell compares every open target with the hits in its value window,
-#: 0.6 us a target when most windows are empty and 4.2 us when every one
-#: holds hits (10^2 to 10^4 hits a shell), against 70 ns a pair.  A call
-#: charges all its targets, over every shell up to T, before it builds the
-#: grid.
+#: shell compares every open target with the hits in its value window.  Set
+#: against 70 ns a pair; a target now costs 0.17 us a shell when most
+#: windows are empty and 2.6 us when most hold hits (20,001 targets on
+#: [-1, 1], SQF2, T = 64), 3-52 ns a unit.  A call charges all its targets,
+#: over every shell up to T, before it builds the grid.
 _TARGET_WORK = 50
 
 #: Most entries (rows x columns) of one block of _window_hits: stage 1 runs
@@ -101,7 +110,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 #: Most (u, v) pairs of one stage-2 call of _window_hits.  Stage 2 runs once
 #: an eighth of this many pairs is kept, not once per block: a call costs
-#: about 70 numpy passes, and holds about 250 bytes of temporaries a pair.
+#: about 70 numpy passes and holds about 20 float arrays of its pairs' size.
 _EXACT_PAIRS = 1 << 11
 
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -111,16 +120,11 @@ _V_BALL = 4.0 * math.pi / 3.0
 _SQRT2 = math.sqrt(2.0)
 
 
-def _ragged_aranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated integer ranges start_i..stop_i and their source row index."""
-    lengths = np.maximum(stops - starts + 1, 0)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    owner = np.repeat(np.arange(len(starts), dtype=np.int64), lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-    return starts[owner] + within, owner
+def _canonical_mask(m: np.ndarray) -> np.ndarray:
+    """Rows of m whose first nonzero entry is positive: one of each pair +-m_i."""
+    nz = m != 0
+    first = m[np.arange(len(m)), np.argmax(nz, axis=1)]
+    return nz.any(axis=1) & (first > 0)
 
 
 def _shell_windows(T: float) -> Iterator[float]:
@@ -213,11 +217,8 @@ def witness_table(
         blocks = list(_window_hits(form, win_lo, win_hi, hi2, counter))
         if not blocks:
             continue
-        v = np.concatenate([blk[0] for blk in blocks])
-        vals = np.concatenate([blk[1] for blk in blocks])
-        n2 = np.einsum("ij,ij->i", v, v)
-        first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
-        keep = (first > 0) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
+        v, vals, n2 = (np.concatenate(col) for col in zip(*blocks))
+        keep = _canonical_mask(v) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
         v, vals, n2 = v[keep], vals[keep], n2[keep]
         order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
         v, vals, n2 = v[order], vals[order], n2[order]
@@ -398,8 +399,8 @@ def _blocks(lo: list[int], hi: list[int]) -> list[tuple[int, int, int, int]]:
 
 def _window_hits(
     form: TernaryForm, a: float, b: float, T2: float, counter: _Capacity
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (v (k,3) int64, Q(v) (k,)) of v != 0, |v|^2 <= T2, a <= Q(v) <= b.
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks (v (k,3), Q(v), |v|^2 (k,) int64) of v != 0, |v|^2 <= T2, a <= Q(v) <= b.
 
     Every such vector is yielded exactly once, both signs and imprimitive
     vectors included.  Only the half space u > 0, or u = 0 and v > 0, or
@@ -418,12 +419,13 @@ def _window_hits(
     one of the segments mid -+ [s_lo, s_hi] may hold an integer; where
     p22 < 0 it scans only each row's live columns (_live_columns).  Stage 2
     builds the candidates of the kept pairs from those two segments,
-    clipped to the ball, and applies the exact mask.  The linear branch and
-    a bound past the float range keep every pair of the disc, and stage 2
-    derives their intervals per pair.  The call itself charges the disc's
-    pairs to the counter, before any block is scanned; the candidates of
-    the kept pairs are charged before they are built.  Stage 1 computes in
-    four float and two bool scratch arrays allocated once per pass.
+    clipped to the ball, and applies the exact mask, one util.expand_ranges
+    chunk at a time.  The linear branch and a bound past the float range
+    keep every pair of the disc, and stage 2 derives their intervals per
+    pair.  The call itself charges the disc's pairs to the counter, before
+    any block is scanned; each segment's candidates are charged before its
+    chunks are built.  Stage 1 computes in four float and two bool scratch
+    arrays allocated once per pass.
     """
     # the disc of radius r - 2 lies inside the unit squares of the half disc's
     # pairs, with room for the rounding of every row's ends: a disc that
@@ -456,14 +458,12 @@ def _window_hits(
     counter.add(int((vmax - vmin).sum()) + len(us))
     prune = quad and bounded
 
-    def exact(
-        u_pairs: np.ndarray, v_pairs: np.ndarray, *segs: np.ndarray
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Stage 2: the hits among the candidates of pairs (u, v), or None.
+    def exact(u: np.ndarray, v: np.ndarray, *segs: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Stage 2: the hits among the candidates of pairs (u, v), chunk by chunk.
 
         On the pruned branch segs are stage 1's mid, s_lo and s_hi of each pair.
         """
-        u, v = u_pairs, v_pairs.astype(float)
+        v = v.astype(float)
         wl = np.sqrt(np.maximum(T2 - (u * u + v * v), 0.0))  # |w| <= wl inside the ball
         nwl = -wl
 
@@ -492,32 +492,22 @@ def _window_hits(
         else:
             segments = [clip(nwl, wl)]
 
-        picks = []  # (pairs, starts, ends) of nonempty rows, segment by segment
-        for st, en in segments:
-            length = np.maximum(en - st + 1.0, 0.0)
-            counter.add(int(length.sum()))
-            nz = np.flatnonzero(length)
-            picks.append((nz, st[nz], en[nz]))
-        pair = np.concatenate([nz for nz, _, _ in picks])
-        if len(pair) == 0:
-            return None
-        w, owner = _ragged_aranges(
-            np.concatenate([st for _, st, _ in picks]).astype(np.int64),
-            np.concatenate([en for _, _, en in picks]).astype(np.int64),
-        )
-        pair = pair[owner]
-        cand = np.empty((len(w), 3), dtype=np.int64)
-        cand[:, i] = u[pair]
-        cand[:, j] = v[pair]
-        cand[:, k] = w
-        vals = form.evaluate(cand)
-        n2 = np.einsum("ij,ij->i", cand, cand)
-        half_space = (cand[:, i] != 0) | (cand[:, j] != 0) | (w > 0)
-        keep = np.flatnonzero((vals >= a) & (vals <= b) & (n2 <= T2) & half_space)
-        if len(keep) == 0:
-            return None
-        hits = cand[keep]
-        return np.concatenate((hits, -hits)), np.concatenate((vals[keep], vals[keep]))
+        for st, en in segments:  # each segment's candidates, charged before they are built
+            counter.add(int(np.maximum(en - st + 1.0, 0.0).sum()))
+        starts, ends = (np.concatenate(x) for x in zip(*segments))
+        for idx, w in expand_ranges(starts, ends):
+            pair = idx % len(u)  # the segments of all pairs, one after the other
+            cand = np.empty((len(w), 3), dtype=np.int64)
+            cand[:, i] = u[pair]
+            cand[:, j] = v[pair]
+            cand[:, k] = w
+            vals = form.evaluate(cand)
+            n2 = np.einsum("ij,ij->i", cand, cand)
+            half_space = (cand[:, i] != 0) | (cand[:, j] != 0) | (w > 0)
+            keep = np.flatnonzero((vals >= a) & (vals <= b) & (n2 <= T2) & half_space)
+            if len(keep):
+                hits = cand[keep]
+                yield np.concatenate((hits, -hits)), np.tile(vals[keep], 2), np.tile(n2[keep], 2)
 
     def kept() -> Iterator[tuple[np.ndarray, ...]]:
         """Stage 1: block by block, the pairs (u, v) that may hold a candidate.
@@ -552,7 +542,9 @@ def _window_hits(
             bbuf = np.empty((2, size), dtype=bool)
         for r0, r1, c0, c1 in blocks:
             if not prune:
-                v, row = _ragged_aranges(np.maximum(lo[r0:r1], c0), np.minimum(hi[r0:r1], c1))
+                # one part a block, so stage 2's runs do not depend on the chunks
+                chunks = expand_ranges(np.maximum(lo[r0:r1], c0), np.minimum(hi[r0:r1], c1))
+                row, v = (np.concatenate(x) for x in zip(*chunks))
                 yield rows[row + r0], v
                 continue
             shape = (r1 - r0, c1 - c0 + 1)
@@ -587,7 +579,7 @@ def _window_hits(
             flat = flat[inside]
             yield rows[row[inside]], v[inside], mid.take(flat), s_lo.take(flat), s_hi.take(flat)
 
-    def scan() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def scan() -> Iterator[tuple[np.ndarray, ...]]:
         # stage 2 on runs of _EXACT_PAIRS / 8 to _EXACT_PAIRS kept pairs;
         # the closing None sends the last, shorter run
         run, size = [], 0
@@ -599,9 +591,7 @@ def _window_hits(
                     continue
             cols = [np.concatenate(col) for col in zip(*run)]
             for s in range(0, size, _EXACT_PAIRS):
-                found = exact(*(col[s : s + _EXACT_PAIRS] for col in cols))
-                if found is not None:
-                    yield found
+                yield from exact(*(col[s : s + _EXACT_PAIRS] for col in cols))
             run, size = [], 0
 
     return scan()
@@ -617,9 +607,7 @@ def _check_count_args(a: float, b: float, T_list: list[float]) -> None:
             raise ValueError(f"T must be finite and >= 1, got {T}")
 
 
-def _ladder_counts(
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]], T_list: list[float]
-) -> list[int]:
+def _ladder_counts(blocks: Iterator[tuple[np.ndarray, ...]], T_list: list[float]) -> list[int]:
     """Hits of one window pass with |v| <= T, for every T of the ladder.
 
     The pass must cover the largest T.  Each hit is binned by the first
@@ -629,8 +617,7 @@ def _ladder_counts(
     T2s = np.array([T * T for T in T_list])
     levels = np.unique(T2s)
     hist = np.zeros(len(levels), dtype=np.int64)
-    for v, _ in blocks:
-        n2 = np.einsum("ij,ij->i", v, v)
+    for _, _, n2 in blocks:
         hist += np.bincount(np.searchsorted(levels, n2), minlength=len(levels))
     totals = np.cumsum(hist)
     return [int(totals[np.searchsorted(levels, t2)]) for t2 in T2s]

@@ -5,13 +5,15 @@ enumeration its scanned pairs and candidates (per call), the certified
 approximation search its entry walk and its candidates (per search), a
 ball walk its coefficient slots (per frame of the walk, counted only when
 the frame's box could pass the ceiling) and the pairwise kernel the pairs of a
-configuration.  Six loops charge all their items before the first, in
-scanned-pair units: the Siegel samples of one siegel_average call, the
-Monte Carlo samples of one main_term_constant call, the r values of one
-projection_survey, the dyadic scales of one nonconcentration_constant,
-the truncated-energy profiles of one improvement_step_sim and the targets
-of one witness_table; the heuristic approximation pool charges its integer
-multiples in candidates.  All of them stop at ``DEFAULT_CEILING``.
+configuration.  Seven loops charge all their items before the first, in
+scanned-pair units: the Siegel samples of one siegel_average call, and of
+every T of one discrepancy_scan, the Monte Carlo samples of one
+main_term_constant call, the r values of one projection_survey, the dyadic
+scales of one nonconcentration_constant, the truncated-energy profiles of
+one improvement_step_sim and the targets of one witness_table; the
+heuristic approximation pool charges its integer multiples in candidates,
+and algebraicity_gap every search's up-front charge over its R ladder.
+All of them stop at ``DEFAULT_CEILING``.
 """
 
 #: Hard ceiling on the work of one kernel call (spec default).  A tally

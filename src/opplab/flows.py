@@ -47,10 +47,11 @@ _DET_TOL = 1e-10
 
 #: What one Siegel sample charges to the work ceiling (errors.DEFAULT_CEILING),
 #: in scanned pairs of the window enumeration: a sample took about 125 us
-#: when this was set and takes 30-50 us in blocks (in-process, N = 400 at
-#: T = 20 to 8000, 2 cores), a scanned pair about 70 ns.  The charge stays,
-#: so the largest N a call accepts does not move.  siegel_average charges
-#: its N samples before the first one.
+#: when this was set, against 70 ns a pair, and takes 45-68 us in blocks
+#: today (in-process, N = 400 at T = 20, 400 and 8000, 2 cores), 23-34 ns
+#: a unit.  The charge stays, so the largest N a call accepts does not
+#: move.  siegel_average charges its N samples before the first one, and
+#: discrepancy_scan the samples of all its T values before the first T.
 _SAMPLE_WORK = 2_000
 
 #: Siegel samples walked together in one block (see _siegel_samples).
@@ -340,8 +341,12 @@ def discrepancy_scan(q, T_list, N: int, f_radius: float, seed: int = 0) -> list[
     """Siegel averages at each T from the basepoint of the given form.
 
     The same seed (hence the same jittered sample offsets) is reused at
-    every T so the T-trend is not confounded by resampling noise.
+    every T so the T-trend is not confounded by resampling noise.  The N
+    samples of every T are charged together before the first T, so a long
+    list raises at once; each siegel_average call charges its own N again.
     """
+    T_list = list(T_list)
+    _Capacity("scanned-pair units of the Siegel samples").add(_SAMPLE_WORK * N * len(T_list))
     form = as_form(q)
     if abs(abs(form.determinant()) - 1.0) > 1e-8:
         form = normalize(form).form

@@ -33,6 +33,15 @@ DEGENERACY_TOL = 1e-10
 _ENTRY_KEYS = ("m11", "m22", "m33", "m12", "m13", "m23")
 
 
+def gram_determinant(m11, m22, m33, m12, m13, m23):
+    """det of the symmetric Gram matrix with these entries: floats, ints or arrays, one order."""
+    return (
+        m11 * (m22 * m33 - m23 * m23)
+        - m12 * (m12 * m33 - m23 * m13)
+        + m13 * (m12 * m23 - m22 * m13)
+    )
+
+
 @dataclass(frozen=True)
 class TernaryForm:
     """Symmetric Gram matrix of a real ternary quadratic form."""
@@ -80,9 +89,7 @@ class TernaryForm:
 
     def determinant(self) -> float:
         """det of the Gram matrix, by the closed cofactor formula."""
-        a, b, c = self.m11, self.m22, self.m33
-        d, e, f = self.m12, self.m13, self.m23
-        return a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+        return gram_determinant(*self.entries)
 
     def sup_norm(self) -> float:
         return max(abs(x) for x in self.entries)
@@ -182,9 +189,14 @@ def normalize(form: TernaryForm) -> NormalizedForm:
     With c = |det|^(-1/3) the result is c*Q when det > 0 and -c*Q when
     det < 0; either way the normalized determinant is +1 and the signature
     is (1, 2).  Idempotent: normalizing a normalized form returns it with
-    scale 1.
+    scale 1.  A determinant that overflows float64 raises ValueError.
     """
     det = form.determinant()
+    if not math.isfinite(det):
+        raise ValueError(
+            "the determinant of the form overflows float64: its largest entry is "
+            f"{form.sup_norm():.6g}; rescale the form"
+        )
     if abs(det) < DEGENERACY_TOL:
         raise DegenerateForm(f"determinant {det} below cutoff {DEGENERACY_TOL}")
     if not form.is_indefinite():

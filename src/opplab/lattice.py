@@ -20,9 +20,10 @@ recompute only the rows from the first changed column on.
 
 Ball walks run in numpy on a block of reduced frames (``_Frames``) at
 once: each level of the walk (m2 values, m1 rows, m0 slots) is expanded
-for every frame of the block together, in chunks of at most
-``_WALK_CHUNK`` entries.  One frame is the block of one; the Siegel samples
-of module flows are reduced and walked 64 at a time.
+for every frame of the block together, in chunks of at most 2,048
+entries, by ``util.expand_ranges`` (the package's one range expander).
+One frame is the block of one; the Siegel samples of module flows are
+reduced and walked 64 at a time.
 
 Dot products and lattice vectors are plain sums in a fixed order, taken
 by scalar or elementwise operations and never by a BLAS product (whose
@@ -43,6 +44,7 @@ import math
 import numpy as np
 
 from .errors import CapacityExceeded, _Capacity
+from .util import expand_ranges
 
 _MAX_LLL_ITER = 10_000
 
@@ -266,32 +268,6 @@ def _pivot(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p)
 
 
-#: Entries in one chunk of a walk level (m2 values, m1 rows or m0 slots), so a
-#: walk's temporaries stay a few hundred KiB however large its ball.
-_WALK_CHUNK = 1 << 11
-
-
-def _expand(lo: np.ndarray, hi: np.ndarray):
-    """Chunks (i, v) of every integer v in each interval [lo[i], hi[i]], in order.
-
-    lo and hi hold integers as float64, and so does v.  Each chunk holds at
-    most _WALK_CHUNK entries; an empty interval adds none and a long one may
-    span several chunks.
-    """
-    counts = np.maximum(hi - lo + 1.0, 0.0)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, _WALK_CHUNK):
-        stop = min(start + _WALK_CHUNK, total)
-        # the intervals that meet [start, stop), and how many of their integers lie in it
-        first, last = int(np.count_nonzero(ends <= start)), int(np.count_nonzero(ends < stop))
-        meet = slice(first, last + 1)
-        part = np.minimum(ends[meet], stop) - np.maximum(starts[meet], start)
-        i = np.repeat(np.arange(first, last + 1), part.astype(np.int64))
-        yield i, (lo[i] - starts[i]) + np.arange(start, stop, dtype=float)
-
-
 def _rows(frames: "_Frames", r2_trav: np.ndarray):
     """Chunks (k, m1, m2, lo0, hi0) of the Fincke-Pohst rows of the traversal ellipsoids.
 
@@ -301,14 +277,14 @@ def _rows(frames: "_Frames", r2_trav: np.ndarray):
     """
     r01, r02, r11, r12, r22 = frames.r01, frames.r02, frames.r11, frames.r12, frames.r22
     lim2 = np.floor(np.sqrt(r2_trav) / r22)
-    for k, m2 in _expand(-lim2, lim2):
+    for k, m2 in expand_ranges(-lim2, lim2):
         t = r22[k] * m2
         rem2 = r2_trav[k] - t * t
         live = rem2 >= 0
         k, m2, rem2 = k[live], m2[live], rem2[live]
         c1, half1 = -r12[k] * m2, np.sqrt(rem2)
         lo1, hi1 = np.ceil((c1 - half1) / r11[k]), np.floor((c1 + half1) / r11[k])
-        for i, m1 in _expand(lo1, hi1):
+        for i, m1 in expand_ranges(lo1, hi1):
             ki, m2i = k[i], m2[i]
             t = r11[ki] * m1 + r12[ki] * m2i
             rem1 = rem2[i] - t * t
@@ -408,7 +384,7 @@ class _Frames:
         int64 index of the frame each point is in.  Points come frame by
         frame, each frame's in walk order (m2, then m1, then m0 ascending).
         Only points that pass the norm filter are stored, and the walk's
-        temporaries are made chunk by chunk (_WALK_CHUNK).
+        temporaries are made chunk by chunk (util.expand_ranges).
 
         A radius whose squared traversal radius is not finite, or whose
         traversal box spans 2^53 or more integers on a side, raises
@@ -449,7 +425,7 @@ class _Frames:
             # the m1 and m2 terms of each row's points
             x1, y1, z1, x2, y2, z2 = m1 * b1x, m1 * b1y, m1 * b1z, m2 * b2x, m2 * b2y, m2 * b2z
             r2_row, nonzero = r2[k], (m1 != 0) | (m2 != 0)
-            for i, m0 in _expand(lo0, hi0):
+            for i, m0 in expand_ranges(lo0, hi0):
                 x = (m0 * b0x[i] + x1[i]) + x2[i]
                 y = (m0 * b0y[i] + y1[i]) + y2[i]
                 z = (m0 * b0z[i] + z1[i]) + z2[i]

@@ -1,11 +1,12 @@
-"""Shared helpers: the worker pool and deterministic chunked sampling.
+"""Shared helpers: the worker pool, deterministic chunked sampling, range expansion.
 
 The Monte Carlo draws from numpy substreams spawned off a single
 SeedSequence, with the chunk layout fixed by the input sizes alone, and
 reduces its chunks in order.  The only thread pool, parallel_map, serves the
 projection survey: it returns results in input order, so the number of
 worker threads (OPPLAB_THREADS) changes wall time but never a single output
-byte.
+byte.  expand_ranges, the one expander of integer intervals, serves the
+lattice ball walk and both stages of the window enumeration.
 """
 
 from __future__ import annotations
@@ -95,6 +96,33 @@ def uniform_ball(
     rng.random(out=r)
     x *= np.power(r, 1.0 / dim, out=r)[:, None]
     return x
+
+
+#: Most entries in one chunk of expand_ranges, so its callers' temporaries
+#: stay a few hundred KiB however many integers the intervals hold.
+_RANGE_CHUNK = 1 << 11
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray):
+    """Chunks (i, v) of every integer v in each interval [lo[i], hi[i]], in order.
+
+    lo and hi hold integers (float64 or int64), v holds them as float64.
+    Each chunk holds at most _RANGE_CHUNK entries; an empty interval adds
+    none and a long one may span several chunks.
+    """
+    counts = np.maximum(hi - lo + 1.0, 0.0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _RANGE_CHUNK):
+        stop = min(start + _RANGE_CHUNK, total)
+        # the intervals that meet [start, stop), and how many of their integers lie in it
+        first = int(np.searchsorted(ends, start, side="right"))
+        last = int(np.searchsorted(ends, stop, side="left"))
+        meet = slice(first, last + 1)
+        part = np.minimum(ends[meet], stop) - np.maximum(starts[meet], start)
+        i = np.repeat(np.arange(first, last + 1), part.astype(np.int64))
+        yield i, (lo[i] - starts[i]) + np.arange(start, stop, dtype=float)
 
 
 def weighted_mean_stderr(values: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:

@@ -21,6 +21,10 @@ SQF2 = "[1,-1,-1.4142135623730951]"
 HUGE_T = ("1e160", "1e300")
 #: margulis flow times whose transport overflows the squared distances
 MARGULIS_HUGE_ELL = ("180", "200", "1e300", "-1e300")
+#: 20,000 expansion times 20, 21, ...
+LONG_T_LIST = ",".join(str(20 + i) for i in range(20_000))
+#: 30 heuristic entry bounds from 300,000 up, 4e7 candidates each
+LONG_R_LADDER = ",".join(str(300_000 + i) for i in range(30))
 
 GOLDEN_CASES = {
     "witness.csv": [
@@ -178,6 +182,12 @@ def test_golden_json_outputs_parse():
         ["margulis", "--random-theta", "200", "--b", "1e-300"],
         # transported points whose squared distances overflow float64
         *(["margulis", "--random-theta", "200", f"--ell={ell}"] for ell in MARGULIS_HUGE_ELL),
+        # lists whose items each fit the ceiling but together do not, refused
+        # before the first item: 20,000 expansion times, 30 heuristic bounds
+        ["equidist", "--form", SQF2, "--T", LONG_T_LIST, "--N", "400"],
+        ["rational", "--form", SQF2, "--R", LONG_R_LADDER],
+        # a determinant past float64: normalize's scale would be 0
+        ["count", "--form", "[1e300,-1e300,-1e300]", "--a", "-1", "--b", "1", "--T", "10"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -188,6 +198,12 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
         assert "too large to reduce in float64" in captured.err
     if any(arg.startswith("--grid") for arg in argv):
         assert "witness targets" in captured.err and "ceiling" in captured.err
+    if LONG_T_LIST in argv:
+        assert "Siegel samples" in captured.err and "ceiling" in captured.err
+    if LONG_R_LADDER in argv:
+        assert "ladder of 30 entry bounds" in captured.err and "ceiling" in captured.err
+    if "[1e300,-1e300,-1e300]" in argv:
+        assert "overflows float64" in captured.err and "1e+300" in captured.err
 
 
 def test_an_oversized_count_disc_exits_before_any_array_is_built(monkeypatch, capsys):

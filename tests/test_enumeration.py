@@ -10,7 +10,7 @@ import pytest
 import scipy.integrate
 
 import opplab
-from opplab import enumeration, errors
+from opplab import enumeration, errors, util
 from opplab.cli import COUNT_CSV_HEADER, WITNESS_CSV_HEADER, _witness_rows, main
 from opplab.enumeration import (
     count_values,
@@ -347,11 +347,12 @@ def window_hit_set(form, a, b, T):
 def test_window_hits_block_layout_matches_default(monkeypatch):
     # a budget of 7 entries puts every row in blocks of its own and splits
     # each row wider than 7 columns into column chunks; stage 2 then runs on
-    # 3 pairs at a time
+    # 3 pairs at a time, and the range expander in chunks of 5 entries
     forms = [
         SQF2.form,  # p22 < 0: live columns
         TernaryForm(0.3, -0.9, 1.7, 0.4, -1.1, 0.2),  # p22 > 0: whole rows
         TernaryForm(0.0, 0.0, 0.0, 1.0, 0.5, 0.0),  # linear branch
+        TernaryForm(1e160, -1.0, -1e-160),  # margin past the float range: whole rows unpruned
     ]
     default = [window_hit_set(form, -1.0, 1.0, 12.5) for form in forms]
     layouts = []
@@ -363,6 +364,7 @@ def test_window_hits_block_layout_matches_default(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_BLOCK_ENTRIES", 7)
     monkeypatch.setattr(enumeration, "_EXACT_PAIRS", 3)
+    monkeypatch.setattr(util, "_RANGE_CHUNK", 5)
     monkeypatch.setattr(enumeration, "_blocks", recorded)
     for form, want in zip(forms, default):
         layouts.clear()
@@ -429,7 +431,7 @@ def test_window_pass_evaluates_about_as_many_candidates_as_hits():
     T = 500.0
     counter = errors._Capacity(enumeration._WORK)
     blocks = enumeration._window_hits(SQF2.form, -1.0, 1.0, T * T, counter)
-    hits = sum(len(v) for v, _ in blocks) // 2  # the half space's
+    hits = sum(len(v) for v, *_ in blocks) // 2  # the half space's
     us = np.arange(int(T) + 1)
     vmax = np.floor(np.sqrt(T * T - us * us))
     pairs = int(2 * vmax.sum() - vmax[0]) + len(us)  # u = 0 holds v >= 0 only
@@ -449,6 +451,25 @@ def test_count_pass_stays_within_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2**20, peak
+
+
+def test_wide_window_count_matches_brute_force():
+    # every integer of each kept pair's ball segment is a candidate
+    assert count_values(SQF2, -1e8, 1e8, 12.0) == brute_count(SQF2.form, -1e8, 1e8, 12.0)
+
+
+def test_wide_window_pass_builds_its_candidates_chunk_by_chunk():
+    # 1.4e7 candidates: stage 2 builds, evaluates and filters them a chunk of
+    # the range expander at a time, where whole runs of 2,048 pairs times
+    # their segments peaked at 120 MiB traced
+    count_values(SQF2, -1.0, 1.0, 50.0)  # warm up lazily built numpy state
+    tracemalloc.start()
+    try:
+        count_values(SQF2, -1e8, 1e8, 150.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_count_values_monotonicity():

@@ -308,7 +308,7 @@ def test_siegel_average_reduces_each_sample_once(monkeypatch):
 
 def test_siegel_average_traced_peak_stays_under_one_mib():
     # the samples run in blocks of _SAMPLE_BLOCK and each walk level in
-    # chunks of lattice._WALK_CHUNK; one block of all 400 samples, walked
+    # chunks of util._RANGE_CHUNK; one block of all 400 samples, walked
     # unchunked, peaked at about 4 MiB
     x = form_to_basepoint(SQF2).x0
     siegel_average(2.0, x, 8000.0, 400)

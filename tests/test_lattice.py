@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opplab import approx, errors, flows, lattice
+from opplab import approx, errors, flows, lattice, util
 from opplab.errors import CapacityExceeded
 from opplab.flows import flow_a, flow_u, form_to_basepoint
 from opplab.forms import TernaryForm, normalize
@@ -350,14 +350,17 @@ def test_lll_matches_numpy_reference_on_diophantine_bases(monkeypatch):
     # reduction: a mu of -1.5 or 31.5 in exact arithmetic.  The reference's
     # BLAS dot product is fused and rounds it to either side by its own
     # error, so one reduced column comes out as the mirror image of the other.
-    bases = []
+    # The pool reduces the six as one stack.
+    stacks = []
 
     def recording(basis, *args, **kwargs):
-        bases.append(np.array(basis))
+        stacks.append(np.array(basis))
         return lll_reduce(basis, *args, **kwargs)
 
     monkeypatch.setattr(approx, "lll_reduce", recording)
     approx._heuristic_candidates(np.asarray(_sqf2().form.entries, dtype=float), 16)
+    (stack,) = stacks
+    bases = list(stack)
     weights = [float(-b[1, 1]) for b in bases]
     assert weights == [1e2, 1e4, 1e6, 1e8, 1e10, 1e12]
     for w, basis in zip(weights, bases):
@@ -543,8 +546,8 @@ def test_block_walk_matches_the_scalar_walk_point_for_point(monkeypatch):
     reduced = [lll_reduce(b) for b in bases]
     frames = lattice._Frames(np.array([r for r, _ in reduced]), np.array([u for _, u in reduced]))
     want = [_ScalarFrame(*red).walk(1.7) for red in reduced]
-    for chunk in (lattice._WALK_CHUNK, 5):
-        monkeypatch.setattr(lattice, "_WALK_CHUNK", chunk)
+    for chunk in (util._RANGE_CHUNK, 5):
+        monkeypatch.setattr(util, "_RANGE_CHUNK", chunk)
         coeffs, norms2, owner = frames.walk(1.7)
         assert owner.tolist() == [k for k, (c, _) in enumerate(want) for _ in c]
         assert [tuple(c) for c in coeffs.tolist()] == [c for w in want for c in w[0]]
@@ -552,11 +555,11 @@ def test_block_walk_matches_the_scalar_walk_point_for_point(monkeypatch):
 
 
 def test_expand_yields_every_interval_in_order_in_bounded_chunks(monkeypatch):
-    monkeypatch.setattr(lattice, "_WALK_CHUNK", 7)
+    monkeypatch.setattr(util, "_RANGE_CHUNK", 7)
     rng = np.random.default_rng(34)
     lo = rng.integers(-20, 20, size=40)
     hi = lo + rng.integers(-3, 25, size=40)  # some intervals are empty
-    chunks = list(lattice._expand(lo, hi))
+    chunks = list(util.expand_ranges(lo, hi))
     assert all(len(i) == len(v) <= 7 for i, v in chunks)
     got = [(int(i), int(v)) for ii, vv in chunks for i, v in zip(ii, vv)]
     assert got == [(i, v) for i in range(40) for v in range(lo[i], hi[i] + 1)]
