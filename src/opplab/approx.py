@@ -237,9 +237,7 @@ def _multiples(q6: np.ndarray, r: int) -> int:
 
 
 def _upfront_work(q6: np.ndarray, r: int, certified: bool) -> int:
-    """Candidates a search at bound r charges before it starts: the m11 walk
-    of _search_boxes if certified, else the heuristic pool's integer multiples.
-    """
+    """Candidates a search at bound r charges first: its m11 walk, or its heuristic multiples."""
     return _STEP_WORK * (r + 1) if certified else _MULTIPLE_WORK * _multiples(q6, r)
 
 
