@@ -11,10 +11,10 @@ heuristic candidate generator (integer-multiple rounding plus a weighted
 7-dimensional lattice reduction) gives an upper bound.  Up to R = 12 a
 branch-and-bound certifies the optimum over the canonical half of the
 entry box (dist is invariant under Q' -> -Q', so only representatives
-with positive leading nonzero entry count): the best heuristic distance
+with util.canonical_mask's sign count): the best heuristic distance
 confines lam, and with it every entry, to a few integers, and only those
-candidates are scored.  Beyond R = 12 the heuristic bound is reported,
-flagged non-certified.
+candidates are scored.  Beyond R = 12 the best canonical heuristic
+candidate is reported, flagged non-certified.
 
 "Integral form" means integer Gram entries, not merely integer values:
 the classical integer-valued forms with half-integer cross entries are
@@ -35,11 +35,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .enumeration import WitnessTable, _canonical_mask, witness_table
+from .enumeration import WitnessTable, witness_table
 from .errors import NoCandidate, _Capacity
 from .forms import NormalizedForm, as_form, gram_determinant, normalize
 from .lattice import lll_reduce
-from .util import power
+from .util import canonical_mask, power
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -109,7 +109,7 @@ def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int,
     """Least (dist, entries) over the canonical nondegenerate rows of m (n x 6 int64)."""
     m11, m22, m33, m12, m13, m23 = m.T
     det = gram_determinant(*m.T)
-    valid = (det != 0) & _canonical_mask(m)
+    valid = (det != 0) & canonical_mask(m)
     if not np.any(valid):
         return None
     detf = det.astype(float)
@@ -242,16 +242,13 @@ def _upfront_work(q6: np.ndarray, r: int, certified: bool) -> int:
 
 
 def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
-    """Non-certified candidate pool: rounded multiples and reduced lattice columns."""
-    cands: set[tuple[int, ...]] = set()
-    cands.add((1, -1, -1, 0, 0, 0))  # guarantees a nondegenerate fallback
+    """Non-certified candidate pool: rounded multiples and reduced lattice columns.
 
+    Each is canonical, as on the certified path: a form and its negation are one candidate.
+    """
     _Capacity(f"candidates of the heuristic pool at R={r}").add(_upfront_work(q6, r, False))
     ns = np.arange(1, _multiples(q6, r) + 1, dtype=float)
     mult = np.rint(ns[:, None] * q6[None, :]).astype(np.int64)
-    ok = np.max(np.abs(mult), axis=1) <= r
-    for row in mult[ok]:
-        cands.add(tuple(int(x) for x in row))
 
     # lattices of pairs (n, m), one per weight W, reduced as one stack: short
     # vectors of (n, W*(n*q - m)) give m ~ n*q
@@ -262,14 +259,13 @@ def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
     for i in range(6):
         bases[:, 1 + i, 1 + i] = -scales
     _, transforms = lll_reduce(bases)
-    for transform in transforms:
-        for col in range(7):
-            n = int(transform[0, col])
-            if n == 0:
-                continue
-            m = transform[1:, col] if n > 0 else -transform[1:, col]
-            if np.max(np.abs(m)) <= r:
-                cands.add(tuple(int(x) for x in m))
+    cols = np.concatenate([t[:, t[0] != 0].T for t in transforms])[:, 1:]
+
+    m = np.concatenate([mult, cols])
+    m = m[np.max(np.abs(m), axis=1) <= r]
+    m = np.where(canonical_mask(m)[:, None], m, -m)
+    # (1, -1, -1) guarantees a nondegenerate fallback
+    cands = {(1, -1, -1, 0, 0, 0), *map(tuple, m.tolist())}
     forms = [IntegralForm(*t) for t in sorted(cands)]
     return [f for f in forms if f.determinant() != 0]
 
@@ -356,8 +352,7 @@ def dichotomy_report(
     R^(-k_exp)); a grid coarser than that span degenerates to the single
     target s = 0.
     """
-    if not 1 <= R < math.inf:
-        raise ValueError(f"R must be finite and >= 1, got {R}")
+    _entry_bound(R)
     floor = power(R, a_exp)
     if T < floor:
         raise ValueError(f"need T >= R**a_exp = {floor:.6g} for a meaningful threshold")

@@ -36,8 +36,9 @@ time in every process.  The pin does not reach child processes.
 This module calls the library through its layer modules (such as
 ``enumeration.witness_table``), which load on first use, so a run executes
 only the layers its subcommand calls: ``--help`` none beyond errors and
-util, ``projection`` and ``margulis`` only projection.  JSON output never
-holds NaN or Infinity; a result with a non-finite value exits 1 instead.
+util, ``projection`` and ``margulis`` only projection (and forms, which
+reads a --theta).  JSON output never holds NaN or Infinity; a result with
+a non-finite value exits 1 instead.
 """
 
 from __future__ import annotations
@@ -195,11 +196,7 @@ def _form(args: argparse.Namespace) -> forms.NormalizedForm:
 
 def _load_theta(args: argparse.Namespace) -> projection.FiniteConfig:
     if args.theta is not None:
-        text = args.theta
-        if not text.lstrip().startswith(("[", "{")):
-            with open(text) as fh:
-                text = fh.read()
-        return projection.FiniteConfig.from_json_obj(json.loads(text))
+        return projection.FiniteConfig.from_json_obj(forms.read_json_arg(args.theta, "configuration"))
     if args.random_theta is not None:
         return projection.FiniteConfig.random_ball(args.random_theta, radius=args.ball_radius, seed=args.seed)
     raise ValueError("provide a configuration via --theta or --random-theta")

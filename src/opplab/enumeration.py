@@ -23,8 +23,8 @@ main_term_constant estimates the coarea constant
 by Monte Carlo, which is the main-term constant of the counting asymptotic
 #{v: |v| <= T, a <= Q(v) <= b} ~ C_Q (b-a) T.
 
-Witness conventions: vectors are canonicalized up to sign (first nonzero
-coordinate positive), ordered lexicographically by (|v|^2, v), and a
+Witness conventions: vectors are canonicalized up to sign by
+util.canonical_mask (first nonzero coordinate positive), ordered lexicographically by (|v|^2, v), and a
 returned witness is the minimal-norm hit with lexicographic tie-break, so
 all outputs are deterministic.
 
@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import DefiniteForm, _Capacity
 from .forms import TernaryForm, as_form
-from .util import chunk_sizes, expand_ranges, spawn_rngs, uniform_ball, weighted_mean_stderr
+from .util import canonical_mask, chunk_sizes, expand_ranges, spawn_rngs, uniform_ball, weighted_mean_stderr
 
 #: What one call charges to the work ceiling (errors.DEFAULT_CEILING): the
 #: (u, v) pairs every _window_hits pass scans plus the candidate vectors it
@@ -118,13 +118,6 @@ _TINY = 1e-300  # absolute slack for underflowed products
 _SHELL_BASE = 8.0
 _V_BALL = 4.0 * math.pi / 3.0
 _SQRT2 = math.sqrt(2.0)
-
-
-def _canonical_mask(m: np.ndarray) -> np.ndarray:
-    """Rows of m whose first nonzero entry is positive: one of each pair +-m_i."""
-    nz = m != 0
-    first = m[np.arange(len(m)), np.argmax(nz, axis=1)]
-    return nz.any(axis=1) & (first > 0)
 
 
 def _shell_windows(T: float) -> Iterator[float]:
@@ -218,7 +211,7 @@ def witness_table(
         if not blocks:
             continue
         v, vals, n2 = (np.concatenate(col) for col in zip(*blocks))
-        keep = _canonical_mask(v) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
+        keep = canonical_mask(v) & (np.gcd.reduce(np.abs(v), axis=1) == 1)
         v, vals, n2 = v[keep], vals[keep], n2[keep]
         order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], n2))
         v, vals, n2 = v[order], vals[order], n2[order]

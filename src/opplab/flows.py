@@ -1,7 +1,7 @@
 """Flows on the space of unimodular lattices and the equidistribution run.
 
 The space is X = SL3(R)/SL3(Z), a point being the lattice (basis matrix g
-times Z^3) with det g = 1.  Three one-parameter families act:
+times Z^3) with det g = 1 (_det1 checks points and group elements).  Three one-parameter families act:
 
     flow_a(t) = diag(e^t, 1, e^-t)
     flow_u(r) = [[1, r, r^2/2], [0, 1, r], [0, 0, 1]]
@@ -68,6 +68,17 @@ def _det3(m: np.ndarray) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _det1(mat, word: str) -> np.ndarray:
+    """``mat`` as a float 3x3 array of determinant 1; ValueError naming the ``word`` otherwise."""
+    m = np.array(mat, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 {word}, got {m.shape}")
+    det = _det3(m)
+    if not abs(det - 1.0) <= _DET_TOL:  # also rejects a NaN determinant
+        raise ValueError(f"{word} determinant {det} is not 1")
+    return m
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A 3x3 real matrix of determinant 1."""
@@ -75,13 +86,7 @@ class GroupElement:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-        det = _det3(m)
-        if not abs(det - 1.0) <= _DET_TOL:  # also rejects a NaN determinant
-            raise ValueError(f"determinant {det} is not 1")
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _det1(self.mat, "matrix"))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.mat @ other.mat)
@@ -107,13 +112,7 @@ class LatticePoint:
     """The unimodular lattice (basis @ Z^3); a point of X."""
 
     def __init__(self, basis):
-        b = np.array(basis, dtype=float)
-        if b.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 basis, got {b.shape}")
-        det = _det3(b)
-        if not abs(det - 1.0) <= _DET_TOL:
-            raise ValueError(f"basis determinant {det} is not 1")
-        self.basis = b
+        self.basis = _det1(basis, "basis")
 
     @classmethod
     def standard(cls) -> "LatticePoint":

@@ -14,14 +14,14 @@ arbitrary nondegenerate indefinite form so that its determinant becomes +1;
 the normalized representatives have signature (1, 2).
 
 Numerical degeneracy cutoff: |det| < 1e-10 (and eigenvalues below 1e-10
-relative to the largest) are treated as singular.
+relative to the largest) are treated as singular.  read_json_arg reads
+every CLI argument that is inline JSON or a file path (--form, --theta).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,14 +211,24 @@ def normalize(form: TernaryForm) -> NormalizedForm:
     )
 
 
+def read_json_arg(text: str, what: str):
+    """The JSON value of a CLI argument: inline JSON if it starts with { or [, else a file path.
+
+    A failure raises ValueError naming ``what`` and, for a path, the file.
+    """
+    stripped = text.strip()
+    if not stripped.startswith(("{", "[")):
+        try:
+            with open(stripped, "r", encoding="utf-8") as fh:
+                stripped = fh.read()
+        except OSError as exc:
+            raise ValueError(f"{what} {stripped!r} is neither inline JSON nor a readable file: {exc.strerror}") from exc
+    try:
+        return json.loads(stripped)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def parse_form(text: str) -> TernaryForm:
     """Parse a CLI form argument: inline JSON, or a path to a JSON file."""
-    stripped = text.strip()
-    if not stripped.startswith(("{", "[")) and os.path.exists(stripped):
-        with open(stripped, "r", encoding="utf-8") as fh:
-            stripped = fh.read()
-    try:
-        obj = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"form argument is neither valid JSON nor a readable file: {exc}") from exc
-    return TernaryForm.from_json_obj(obj)
+    return TernaryForm.from_json_obj(read_json_arg(text, "form"))

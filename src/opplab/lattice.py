@@ -34,7 +34,7 @@ returns is ((m0 b0 + m1 b1) + m2 b2) per coordinate, summed as
 
 One reduced frame serves any number of enumerations: callers that need
 several balls of the same lattice reduce it once and walk each ball in
-the frame.
+the frame.  The shortest vector takes util.canonical_mask's sign.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import CapacityExceeded, _Capacity
-from .util import expand_ranges
+from .util import canonical_mask, expand_ranges
 
 _MAX_LLL_ITER = 10_000
 
@@ -481,12 +481,8 @@ def shortest_vector_coeffs(basis) -> tuple[np.ndarray, float]:
     if not len(norms2):
         # cannot happen for a nonsingular basis: the shortest reduced column qualifies
         raise CapacityExceeded("shortest-vector enumeration returned no candidates")
-    best = None
-    for cand, n2 in zip(frame.original(coeffs).tolist(), norms2.tolist()):
-        if next(c for c in cand if c) < 0:
-            cand = [-c for c in cand]
-        key = (math.sqrt(n2), cand)
-        if best is None or key < best:
-            best = key
-    length, cand = best
-    return np.array(cand, dtype=np.int64), length
+    coeffs = frame.original(coeffs)
+    coeffs = np.where(canonical_mask(coeffs)[:, None], coeffs, -coeffs)
+    lengths = np.sqrt(norms2)
+    j = np.lexsort((*coeffs.T[::-1], lengths))[0]
+    return coeffs[j], float(lengths[j])

