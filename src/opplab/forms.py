@@ -212,10 +212,7 @@ def normalize(form: TernaryForm) -> NormalizedForm:
 
 
 def read_json_arg(text: str, what: str):
-    """The JSON value of a CLI argument: inline JSON if it starts with { or [, else a file path.
-
-    A failure raises ValueError naming ``what`` and, for a path, the file.
-    """
+    """A CLI argument's JSON: inline if it starts with { or [, else a file's; errors name ``what``."""
     stripped = text.strip()
     if not stripped.startswith(("{", "[")):
         try:
