@@ -24,9 +24,10 @@ by Monte Carlo, which is the main-term constant of the counting asymptotic
 #{v: |v| <= T, a <= Q(v) <= b} ~ C_Q (b-a) T.
 
 Witness conventions: vectors are canonicalized up to sign by
-util.canonical_mask (first nonzero coordinate positive), ordered lexicographically by (|v|^2, v), and a
-returned witness is the minimal-norm hit with lexicographic tie-break, so
-all outputs are deterministic.
+util.canonical_mask (first nonzero coordinate positive), ordered
+lexicographically by (|v|^2, v), and a returned witness is the
+minimal-norm hit with lexicographic tie-break, so all outputs are
+deterministic.
 
 Candidate generation is a superset pass followed by an exact membership
 mask that reevaluates the form the same way a brute-force oracle would;

@@ -1,7 +1,8 @@
 """Flows on the space of unimodular lattices and the equidistribution run.
 
 The space is X = SL3(R)/SL3(Z), a point being the lattice (basis matrix g
-times Z^3) with det g = 1 (_det1 checks points and group elements).  Three one-parameter families act:
+times Z^3) with det g = 1, which _det1 checks.  Three one-parameter
+families act:
 
     flow_a(t) = diag(e^t, 1, e^-t)
     flow_u(r) = [[1, r, r^2/2], [0, 1, r], [0, 0, 1]]

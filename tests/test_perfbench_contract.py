@@ -53,13 +53,8 @@ class _Probe:
     def __len__(self):
         return 1
 
-    def __getitem__(self, index):
-        return self
-
     def __lt__(self, other):
         return False
-
-    __gt__ = __lt__
 
 
 class _ReadArguments(dict):
