@@ -10,11 +10,13 @@ The package has four legs, one per family of experiments:
 - projection: a finite-set simulator for the 5-dimensional representation,
   restricted projections, non-concentration surveys, and truncated energies.
 
-Everything is deterministic for a fixed seed.  OPPLAB_THREADS sizes the
-thread pool of the projection survey (projection_survey), the only step
-that runs on one; it trades wall time only.  The Monte Carlo counting
-constant (main_term_constant), lattice reduction, the Siegel samples and
-the truncated-energy transports (improvement_step_sim) run serially.
+Everything is deterministic for a fixed seed.  OPPLAB_THREADS (capped at
+the usable CPUs) sets how many forked worker processes share the r values
+of the projection survey (projection_survey) and the rho samples of the
+truncated-energy transports (improvement_step_sim), the only steps that run
+on workers; it trades wall time only.  The Monte Carlo counting constant
+(main_term_constant), lattice reduction and the Siegel samples run
+serially.
 
 Importing opplab before numpy pins OpenBLAS to one thread, unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is already set:
@@ -91,9 +93,11 @@ def _lazy(layer: str):
     A subcommand thus compiles and runs only the layers it calls, while every
     layer stays an ordinary entry of sys.modules that getattr resolves.  The
     first access is not thread-safe (importlib.util.LazyLoader), so a layer
-    must load before any thread can reach it: the one thread pool starts
-    inside projection_survey, after its module has loaded, and its workers
-    read only that module's globals.
+    must load before any thread can reach it.  opplab starts no thread: its
+    workers are processes forked inside projection_survey and
+    improvement_step_sim, after their module has loaded, and a fork made
+    while another thread runs is not made at all (util.parallel_map then
+    runs serially).
     """
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
     spec.loader = importlib.util.LazyLoader(spec.loader)

@@ -75,7 +75,7 @@ def signed_inverse_cuberoot(det: int | float) -> float:
 
 def _entry_distance(q_entries: Sequence[float], qprime: IntegralForm) -> float:
     lam = signed_inverse_cuberoot(qprime.determinant())
-    return max(abs(q - lam * m) for q, m in zip(q_entries, qprime.entries))
+    return float(max(abs(q - lam * m) for q, m in zip(q_entries, qprime.entries)))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ Exit codes: 0 success, 1 usage or input errors, 2 scientific anomaly
 (currently only the dichotomy command: the rational branch was rejected
 and yet witness coverage fell below the configured floor).
 
-The OPPLAB_THREADS environment variable caps the worker threads of the
-projection sweep, the only step that runs on a thread pool; it changes
+The OPPLAB_THREADS environment variable sets the worker processes of the
+projection sweep and the margulis transports, the only steps that run on
+workers; it is capped at the CPUs the process may run on, and it changes
 wall time only, never output bytes.  Every subcommand rejects a value that
 is not a positive integer with exit 1.  Both ``python -m opplab`` and the
 ``opplab`` script import the package first, which pins OpenBLAS to one

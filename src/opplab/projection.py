@@ -39,7 +39,9 @@ carried for bookkeeping but never bias counts or energies here.
 
 Every pairwise quantity (neighbour counts, clipped energies, near returns)
 comes from one kernel, ``_pair_tiles``, which yields the squared-distance
-matrix of a configuration in blocks of whole rows, each at most
+matrix (sq_i + sq_j) - 2 x_i . x_j of a configuration (the sum from an
+exact k = 2 matmul, the Gram block from x[rows] @ x.T; see _pair_tiles)
+in blocks of whole rows, each at most
 ``_TILE_ENTRIES`` entries (512 KiB per float64 buffer, so a tile and its
 Gram block stay in a 2 MiB L2 cache).  The kernel allocates its two row
 buffers once per call and refills them for every tile, so a yielded tile is
@@ -60,8 +62,11 @@ every enumeration), so above 31,622 points it raises CapacityExceeded
 before any point is drawn or any tile is built.  A survey also charges
 its r values, improvement_step_sim its profiles and
 nonconcentration_constant its dyadic scales, before the first tile (see
-_ITEM_WORK).  The kernel refuses points whose squared distances would
-overflow float64, such as a configuration transported by a large ell.
+_ITEM_WORK).  The r values of a survey and the rho samples of
+improvement_step_sim are shared out to forked worker processes by
+util.parallel_map, which joins the results in item order.  The kernel
+refuses points whose squared distances would overflow float64, such as a
+configuration transported by a large ell.
 """
 
 from __future__ import annotations
@@ -240,7 +245,13 @@ def _pair_tiles(x: np.ndarray):
     before advancing.  The entries are computed as
     (sq_i + sq_j) - 2 * (x_i . x_j), operation for operation, and are not
     clipped: rounding can leave an entry slightly negative, so a consumer
-    that needs a distance clips at 0 itself.
+    that needs a distance clips at 0 itself.  The sum sq_i + sq_j comes
+    from one k = 2 matmul, [sq_i, 1] . [1, sq_j], written straight into the
+    tile: both products multiply by 1, so they are exact, and a sum of two
+    terms rounds once in any order, with or without FMA, so the tile has the
+    bits of a plain addition on every BLAS kernel.  The Gram block keeps its
+    operands, x[rows] @ x.T on the transposed view: a contiguous copy of
+    x.T changes which kernel path BLAS takes and moves Gram bits.
     """
     n = len(x)
     _check_point_ceiling(n)
@@ -249,15 +260,16 @@ def _pair_tiles(x: np.ndarray):
     # every |d2| is at most 4 max(sq); past that the tiles overflow to inf or NaN
     if not np.all(sq <= 0.25 * np.finfo(float).max):
         raise ValueError("the points are too far apart: their squared distances overflow float64")
+    # [sq_i, 1] . [1, sq_j] is sq_i + sq_j, rounded once whatever the BLAS kernel
+    ones = np.ones(n)
+    lhs, rhs = np.column_stack([sq, ones]), np.vstack([ones, sq])
     d2_buf, gram_buf = _tile_buffer(n), _tile_buffer(n)
     step = len(d2_buf)
     for i in range(0, n, step):
         rows = slice(i, i + step)
         m = min(step, n - i)
         d2, gram = d2_buf[:m], gram_buf[:m]
-        # sq_j + sq_i has the bits of sq_i + sq_j: IEEE addition commutes
-        np.copyto(d2, sq)
-        np.add(d2, sq[rows, None], out=d2)
+        np.matmul(lhs[rows], rhs, out=d2)
         np.matmul(x[rows], x.T, out=gram)
         gram *= 2.0
         d2 -= gram
@@ -615,9 +627,7 @@ def improvement_step_sim(
         _reject_undefined_ratios(pts, old, new)
         return new / old, float(np.mean(new_floor))
 
-    # serial: the per-row sums of _margulis_profile hold the GIL, and a pool
-    # over the rho samples was measured not to pay
-    results = [one_rho(float(r)) for r in rhos]
+    results = parallel_map(one_rho, rhos.tolist())
     ratios = np.stack([r for r, _ in results])
     flat = ratios.ravel()
     return ImprovementStats(

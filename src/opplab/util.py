@@ -2,9 +2,10 @@
 
 The Monte Carlo draws from numpy substreams spawned off a single
 SeedSequence, with the chunk layout fixed by the input sizes alone, and
-reduces its chunks in order.  The only thread pool, parallel_map, serves the
-projection survey: it returns results in input order, so the number of
-worker threads (OPPLAB_THREADS) changes wall time but never a single output
+reduces its chunks in order.  The one worker pool, parallel_map, serves the
+projection survey and the margulis transports: it runs shares of the items
+in forked processes and returns the results in input order, so the number
+of workers (OPPLAB_THREADS) changes wall time but never a single output
 byte.  expand_ranges, the one expander of integer intervals, serves the
 lattice ball walk and both stages of the window enumeration, and
 canonical_mask (first nonzero entry positive) is the one sign rule of the
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -23,11 +26,18 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def worker_count() -> int:
-    """Number of worker threads: OPPLAB_THREADS, or the CPUs this process may run on.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
-    The usable CPUs are the process's affinity set where the platform has
-    one (a process pinned to one core gets one thread), else the CPU count.
+
+def worker_count() -> int:
+    """Number of workers: OPPLAB_THREADS capped at the usable CPUs, or the usable CPUs.
+
+    A process pinned to one core gets one worker, and a huge OPPLAB_THREADS
+    starts no more workers than there are CPUs to run them.
     """
     raw = os.environ.get("OPPLAB_THREADS")
     if raw is not None:
@@ -37,28 +47,97 @@ def worker_count() -> int:
             raise ValueError(f"OPPLAB_THREADS must be an integer, got {raw!r}") from exc
         if n < 1:
             raise ValueError(f"OPPLAB_THREADS must be >= 1, got {n}")
-        return n
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
+        return min(n, _usable_cpus())
+    return _usable_cpus()
+
+
+def _can_fork() -> bool:
+    """Whether parallel_map may fork: os.fork exists, not on macOS, and no other Python thread runs.
+
+    Forking after Apple's Accelerate has started is unsafe, and a fork made
+    while another thread holds a lock leaves that lock held in the child.
+    """
+    if not hasattr(os, "fork") or sys.platform == "darwin":
+        return False
+    threading = sys.modules.get("threading")
+    return threading is None or threading.active_count() == 1
 
 
 def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
-    """Map ``fn`` over ``items``, preserving order.
+    """Map ``fn`` over ``items`` in ``worker_count()`` processes; results in item order.
 
-    Work is farmed out to ``worker_count()`` threads; the returned list is
-    always in input order, so reductions over it are thread-count-independent.
+    The items are cut into contiguous shares, one per worker.  The caller
+    runs the first share; a forked child runs each other one and sends back
+    the pickle of its results, or of its exception, which is then raised
+    here with its type and message.  A child that dies without a result
+    raises ChildProcessError naming its signal or exit code.  Every child is
+    reaped before this returns or raises, and killed first when the caller's
+    own share or a read raised, so none outlives the call.  The results are
+    concatenated in item order, so reductions over them do not depend on
+    the worker count.  The run is serial where _can_fork says no.
     """
     items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    k = min(worker_count(), len(items))
+    if k <= 1 or not _can_fork():
         return [fn(x) for x in items]
-    # imported here: concurrent.futures loads threading, queue and logging,
-    # which no other step needs
-    from concurrent.futures import ThreadPoolExecutor
+    import signal  # imported here: only a forking call needs it
 
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))
+    ends = [len(items) * s // k for s in range(k + 1)]
+    pids, pipes = [], []
+    try:
+        for s in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as sink:  # the parent's copy closes here
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(sink, fn, items[ends[s] : ends[s + 1]])
+            pids.append(pid)
+        results = [fn(x) for x in items[: ends[1]]]
+        outcomes = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, data, status in zip(pids, outcomes, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:  # the child exits 0 only once its whole outcome is written
+            how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with code {code}"
+            raise ChildProcessError(f"a parallel_map worker process (pid {pid}) {how} before sending its results")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results += value
+    return results
+
+
+def _run_share(sink, fn: Callable, share: list) -> None:
+    """In a forked child: map fn over the share, write the pickled outcome to sink, and exit 0.
+
+    os._exit skips the stdio buffers and exit handlers inherited from the
+    parent, so nothing the parent holds is flushed twice.
+    """
+    code = 1
+    try:
+        try:
+            outcome = (True, [fn(x) for x in share])
+        except BaseException as exc:  # noqa: BLE001  (sent to the parent)
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)  # an exception can pickle yet not load
+        except Exception as exc:  # noqa: BLE001
+            what = exc if outcome[0] else outcome[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(what).__name__}: {what}")))
+        sink.write(data)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def spawn_rngs(seed: int, k: int) -> list[np.random.Generator]:

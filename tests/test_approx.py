@@ -241,6 +241,15 @@ def test_heuristic_representative_is_canonical_for_negative_m11():
             assert next(x for x in res.qprime.entries if x) > 0, (q.form, R, res.qprime)
 
 
+def test_dist_is_a_python_float_on_both_paths():
+    q = normalize(TernaryForm(10.0, -1.0, -0.1))
+    certified = best_rational_approx(q, 4.0)
+    heuristic = best_rational_approx(q, 8.0, exhaustive_limit=1)
+    assert (certified.certified, heuristic.certified) == (True, False)
+    for res in (certified, heuristic):
+        assert type(res.dist) is float and type(res.lam) is float, res
+
+
 def test_best_rational_approx_validation():
     with pytest.raises(ValueError):
         best_rational_approx(SQF2, 0.5)

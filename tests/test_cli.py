@@ -370,7 +370,7 @@ def test_projection_explicit_r_grid(capsys):
     assert obj["params"]["egbd"] >= 1.0
 
 
-@pytest.mark.parametrize("name", ["equidist.csv", "projection.csv"])
+@pytest.mark.parametrize("name", ["equidist.csv", "projection.csv", "margulis.json"])
 def test_thread_count_does_not_change_output(name, monkeypatch, capsys):
     argv = GOLDEN_CASES[name]
     monkeypatch.setenv("OPPLAB_THREADS", "1")
@@ -521,7 +521,7 @@ def test_invalid_thread_count_exits_1(monkeypatch, capsys):
 
 
 def test_invalid_thread_count_exits_1_without_a_pool(monkeypatch, capsys):
-    # witness starts no thread pool; the value is still checked up front
+    # witness starts no workers; the value is still checked up front
     monkeypatch.setenv("OPPLAB_THREADS", "0")
     assert main(GOLDEN_CASES["witness.csv"]) == 1
     captured = capsys.readouterr()

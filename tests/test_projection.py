@@ -562,7 +562,7 @@ def _allocating_tiles(x, step):
         yield i, sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
 
 
-def _assert_tiles_match_allocating_formula(x):
+def _assert_tiles_match_allocating_formula(x, some_negative=True):
     step = max(1, projection._TILE_ENTRIES // len(x))
     got = [(i, d2.copy()) for i, d2 in projection._pair_tiles(x)]
     want = list(_allocating_tiles(x, step))
@@ -576,8 +576,8 @@ def _assert_tiles_match_allocating_formula(x):
         rows = slice(i, i + step)
         clipped = np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
         assert np.array_equal(np.maximum(g, 0.0), clipped)
-    # rounding leaves some entries below 0, so the clip is exercised
-    assert any(np.any(g < 0) for _, g in got)
+    if some_negative:  # rounding leaves some entries below 0, so the clip is exercised
+        assert any(np.any(g < 0) for _, g in got)
 
 
 def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
@@ -586,6 +586,21 @@ def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
     # points (32-row tiles, a 16-row last one)
     _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(300, seed=1).points)
     _assert_tiles_match_allocating_formula(xi(0.3, FiniteConfig.random_ball(2000, seed=0).points))
+    # scaled far down (squared norms underflow to 0 at 1e-300 and are
+    # subnormal at 1e-160) and far up (squared norms near 1e300); the
+    # k = 2 sum must stay exact on every kernel path
+    pts = FiniteConfig.random_ball(300, seed=3).points
+    for scale in (1e-300, 1e-160):
+        _assert_tiles_match_allocating_formula(pts * scale, some_negative=False)
+    _assert_tiles_match_allocating_formula(pts * 1e150)
+    # columns of magnitudes 1e-200 ... 1e100 in one configuration
+    mixed = pts * np.array([1e-200, 1e-100, 1.0, 1e50, 1e100])
+    _assert_tiles_match_allocating_formula(mixed, some_negative=False)
+    # 571 points: five 114-row tiles and a last tile of one row (a
+    # matrix-vector product inside BLAS)
+    ragged = FiniteConfig.random_ball(571, seed=4).points
+    assert 571 % (projection._TILE_ENTRIES // 571) == 1
+    _assert_tiles_match_allocating_formula(ragged)
     monkeypatch.setattr(projection, "_TILE_ENTRIES", 61 * 8)
     _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(61, radius=0.5, seed=12).points)
 
