@@ -41,21 +41,31 @@ Every pairwise quantity (neighbour counts, clipped energies, near returns)
 comes from one kernel, ``_pair_tiles``, which yields the squared-distance
 matrix (sq_i + sq_j) - 2 x_i . x_j of a configuration (the sum from an
 exact k = 2 matmul, the Gram block from x[rows] @ x.T; see _pair_tiles)
-in blocks of whole rows, each at most
-``_TILE_ENTRIES`` entries (512 KiB per float64 buffer, so a tile and its
-Gram block stay in a 2 MiB L2 cache).  The kernel allocates its two row
-buffers once per call and refills them for every tile, so a yielded tile is
-a reused buffer: the consumer must reduce it (or copy it) before the
-generator advances, and may overwrite it in place.  A tile is not clipped
-at 0: rounding can leave an entry slightly negative.  The neighbour counts
-compare with a square b^2 >= 0 and the energies clip at b^2 themselves, so
-neither needs the clip; the near returns clip the entries they gather.
-Each consumer reduces row by row or, for the near returns, per tile with
-an order-independent sum, so a row's value is what it would be over the
-full matrix, and the tile layout depends on the number of points alone.
-The bits of a tile do depend on its row count, though: BLAS edge kernels
-round the Gram block differently for different block shapes, so
-``_TILE_ENTRIES`` is part of the output contract until every product is
+in blocks of rows, each at most ``_TILE_ENTRIES`` entries (512 KiB per
+float64 buffer, so a tile and its Gram block stay in a 2 MiB L2 cache).
+The matrix is symmetric, so the counts of projection_concentration and
+nonconcentration_constant and the counts and energies of a survey take
+upper-triangle strips (rows [i, i + m) by columns [i, n)) and evaluate
+each unordered pair once; _add_strip adds a strip's row sums to its own
+points and the column sums of its off-diagonal part to the later points.
+The truncated-energy profiles of improvement_step_sim take whole rows.
+The kernel allocates its two buffers once per call and refills them for
+every tile, so a yielded tile is a reused buffer: the consumer must reduce
+it (or copy it) before the generator advances, and may overwrite it in
+place.  A tile is not clipped at 0: rounding can leave an entry slightly
+negative.  The neighbour counts compare with a square b^2 >= 0 and the
+energies clip at b^2 themselves, so neither needs the clip; the near
+returns clip the entries they gather.  Counts are exact in any order.  A
+survey energy sums a point's terms in a fixed order: the column sums of
+the strips before the point's own, in strip order, then its own row sum
+(pairwise, as numpy sums a row).  That order, like the tile layout,
+depends on the number of points and ``_TILE_ENTRIES`` alone, never on the
+worker count; up to 256 points it is one strip, a plain row sum.  A
+profile reduces each row of a whole-row tile with an order-independent
+sum, so its value is what it would be over the full matrix.  The bits of
+a tile do depend on its shape, though: BLAS edge kernels round the Gram
+block differently for different block shapes, so ``_TILE_ENTRIES`` is
+part of the output contract until every product is
 fixed-order arithmetic.  A configuration charges its n^2 pairs to the
 package's work ceiling (errors.DEFAULT_CEILING, the same one that bounds
 every enumeration), so above 31,622 points it raises CapacityExceeded
@@ -93,11 +103,14 @@ _TILE_ENTRIES = 1 << 16
 #: What one r of projection_survey, or one truncated-energy profile of
 #: improvement_step_sim, charges to the work ceiling, in scanned pairs of the
 #: window enumeration (set at 70 ns each, the unit of the other sample loops):
-#: a pass cost about 4 ns per point pair at n = 2,000, so _PAIRS_PER_UNIT
-#: point pairs count as one unit, and about 100 us more at any n, which is
-#: _ITEM_WORK units.  Measured again at one thread, a survey r takes 234 us
-#: at n = 50 and 32 ms at n = 2,000, 127-141 ns a unit.  Each call charges
-#: all its r values (or profiles) before the first tile.
+#: _PAIRS_PER_UNIT of the n^2 ordered point pairs count as one unit, and each
+#: pass _ITEM_WORK units more at any n.  Measured at one worker (2 vCPUs,
+#: numpy 2.4.6), a survey r, whose strips evaluate each unordered pair once,
+#: takes 160-190 us at n = 50 and 10-13 ms at n = 2,000 (39-112 ns a unit),
+#: and a profile, which evaluates whole rows, 29 ms at n = 2,000 (114 ns a
+#: unit).  The charges date from a survey r of 32 ms at n = 2,000 and are
+#: kept, so a survey of 2,000 points still takes at most 3,976 r values.
+#: Each call charges all its r values (or profiles) before the first tile.
 _PAIRS_PER_UNIT = 16
 _ITEM_WORK = 1_500
 
@@ -218,9 +231,19 @@ def _check_point_ceiling(n: int) -> None:
     _Capacity(f"point pairs of a {n}-point configuration").add(n * n)
 
 
+def _tile_rows(n: int) -> int:
+    """Rows of a tile (or strip) of an n-point configuration: fixed by n and _TILE_ENTRIES alone."""
+    return min(max(1, _TILE_ENTRIES // n), n)
+
+
 def _tile_buffer(n: int, dtype=float) -> np.ndarray:
-    """An uninitialized buffer the shape of the largest tile of an n-point configuration."""
-    return np.empty((min(max(1, _TILE_ENTRIES // n), n), n), dtype)
+    """An uninitialized flat buffer the size of the largest tile of an n-point configuration."""
+    return np.empty(_tile_rows(n) * n, dtype)
+
+
+def _tile_view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The first entries of a flat tile buffer as a C-contiguous array of ``shape``."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
 
 
 def _charge_items(count: int, n: int, what: str) -> None:
@@ -229,20 +252,41 @@ def _charge_items(count: int, n: int, what: str) -> None:
     _Capacity(f"scanned-pair units of {count} {what} on {n} points").add(work)
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """True entries per row of a tile mask.
+def _add_strip(acc: np.ndarray, first: int, strip: np.ndarray) -> None:
+    """Add an upper-triangle strip of _pair_tiles(x, upper=True) into per-point totals.
 
-    A uint16 accumulator sums about three times faster than the intp one of
-    count_nonzero, and is exact while a row has fewer than 2^16 entries.
+    Each row's sum goes to its own point, and each column's sum over the
+    off-diagonal part strip[:, m:] to the later point that column stands
+    for, so every unordered pair reaches both of its points once.  A point
+    in a later strip receives the column sums of the strips before its own,
+    in strip order, and then its own row sum; that order is fixed by n and
+    _TILE_ENTRIES.  A boolean strip is counted with a uint16 accumulator,
+    about three times faster than intp and exact while a row has fewer than
+    2^16 entries (a strip has no more rows than columns).
     """
-    return mask.sum(axis=1, dtype=np.uint16 if mask.shape[1] < 1 << 16 else np.intp)
+    m = len(strip)
+    dtype = None
+    if strip.dtype == bool:
+        dtype = np.uint16 if strip.shape[1] < 1 << 16 else np.intp
+    acc[first : first + m] += strip.sum(axis=1, dtype=dtype)
+    acc[first + m :] += strip[:, m:].sum(axis=0, dtype=dtype)
 
 
-def _pair_tiles(x: np.ndarray):
-    """Yield (first_row, d2), d2[k, j] ~ |x[first_row + k] - x[j]|^2, in row order.
+def _pair_tiles(x: np.ndarray, upper: bool = False):
+    """Yield (first_row, d2), d2[k, j] ~ |x[first_row + k] - x[first_col + j]|^2, in row order.
 
-    d2 is a view of one buffer that the next tile overwrites: reduce it
-    before advancing.  The entries are computed as
+    With upper=False a tile holds whole rows (first_col = 0).  With
+    upper=True it is a strip of the upper triangle, rows [i, i + m) by
+    columns [i, n) (first_col = first_row = i), so every unordered pair is
+    evaluated once: in the strip of its smaller index, inside the m x m
+    diagonal block when both points are rows of that strip.  Strips and
+    tiles have the same row counts, fixed by n and _TILE_ENTRIES.  A strip's
+    Gram block has another shape than the whole-row tile's, so BLAS edge
+    kernels may round its entries differently; a consumer that promises
+    the bits of a whole-row reduction keeps upper=False.
+
+    d2 is a C-contiguous view of one buffer that the next tile overwrites:
+    reduce it before advancing.  The entries are computed as
     (sq_i + sq_j) - 2 * (x_i . x_j), operation for operation, and are not
     clipped: rounding can leave an entry slightly negative, so a consumer
     that needs a distance clips at 0 itself.  The sum sq_i + sq_j comes
@@ -250,8 +294,10 @@ def _pair_tiles(x: np.ndarray):
     tile: both products multiply by 1, so they are exact, and a sum of two
     terms rounds once in any order, with or without FMA, so the tile has the
     bits of a plain addition on every BLAS kernel.  The Gram block keeps its
-    operands, x[rows] @ x.T on the transposed view: a contiguous copy of
-    x.T changes which kernel path BLAS takes and moves Gram bits.
+    operands, x[rows] @ x.T[:, cols] on the transposed view: a contiguous
+    copy of x.T changes which kernel path BLAS takes and moves Gram bits.
+    It is doubled in a pass of its own: folding the 2 into an operand
+    changes the rounding of subnormal products.
     """
     n = len(x)
     _check_point_ceiling(n)
@@ -264,13 +310,13 @@ def _pair_tiles(x: np.ndarray):
     ones = np.ones(n)
     lhs, rhs = np.column_stack([sq, ones]), np.vstack([ones, sq])
     d2_buf, gram_buf = _tile_buffer(n), _tile_buffer(n)
-    step = len(d2_buf)
+    step = _tile_rows(n)
     for i in range(0, n, step):
-        rows = slice(i, i + step)
-        m = min(step, n - i)
-        d2, gram = d2_buf[:m], gram_buf[:m]
-        np.matmul(lhs[rows], rhs, out=d2)
-        np.matmul(x[rows], x.T, out=gram)
+        rows, cols = slice(i, i + step), slice(i if upper else 0, n)
+        shape = (min(step, n - i), n - cols.start)
+        d2, gram = _tile_view(d2_buf, shape), _tile_view(gram_buf, shape)
+        np.matmul(lhs[rows], rhs[:, cols], out=d2)
+        np.matmul(x[rows], x.T[:, cols], out=gram)
         gram *= 2.0
         d2 -= gram
         yield i, d2
@@ -314,13 +360,13 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     _Capacity(f"scanned-pair units of {len(scales)} scales on {n} points").add(
         len(scales) * (n * n // _PAIRS_PER_UNIT)
     )
-    top = [0] * len(scales)
+    counts = np.zeros((len(scales), n), dtype=np.int64)
     mask_buf = _tile_buffer(n, bool)
-    for _, d2 in _pair_tiles(pts):
-        mask = mask_buf[: len(d2)]
+    for i, d2 in _pair_tiles(pts, upper=True):
+        mask = _tile_view(mask_buf, d2.shape)
         for k, scale in enumerate(scales):
-            np.less_equal(d2, scale * scale, out=mask)
-            top[k] = max(top[k], int(_row_counts(mask).max()))
+            _add_strip(counts[k], i, np.less_equal(d2, scale * scale, out=mask))
+    top = counts.max(axis=1).tolist()
     return max(float(count) / (scale**alpha * n) for count, scale in zip(top, scales))
 
 
@@ -330,9 +376,11 @@ def projection_concentration(config: FiniteConfig, r: float, b: float) -> np.nda
         raise EmptyConfig("the configuration has no points")
     if not (math.isfinite(r) and math.isfinite(b)):
         raise ValueError(f"r and b must be finite, got r={r}, b={b}")
-    counts = np.empty(len(config), dtype=np.int64)
-    for i, d2 in _pair_tiles(xi(r, config.points)):
-        counts[i : i + len(d2)] = np.count_nonzero(d2 <= b * b, axis=1)
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
+    counts = np.zeros(len(config), dtype=np.int64)
+    for i, d2 in _pair_tiles(xi(r, config.points), upper=True):
+        _add_strip(counts, i, d2 <= b * b)
     return counts
 
 
@@ -398,6 +446,33 @@ class SurveyResult:
     row_threshold: float
 
 
+def _image_sums(img: np.ndarray, b2: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, energies) per point of an image, from the strips of its pairs.
+
+    counts[i] is how many images lie within sqrt(b2) of image i, itself
+    included; energies[i] is the sum over the other images j of
+    max(d2_ij, b2)^(-alpha/2).  Each unordered pair is evaluated once and
+    summed in the order of _add_strip.  The self-entry, a rounding residue
+    near 0, is summed with the rest, and the self term b2^(-alpha/2) it
+    clips to is subtracted at the end.
+    """
+    n = len(img)
+    counts = np.zeros(n, dtype=np.int64)
+    energies = np.zeros(n)
+    mask_buf = _tile_buffer(n, bool)
+    for i, d2 in _pair_tiles(img, upper=True):
+        _add_strip(counts, i, np.less_equal(d2, b2, out=_tile_view(mask_buf, d2.shape)))
+        # b2 >= 0, so this also clips the negative rounding residues
+        np.maximum(d2, b2, out=d2)
+        if alpha == 2.0:
+            np.divide(1.0, d2, out=d2)
+        else:
+            np.power(d2, -alpha / 2.0, out=d2)
+        _add_strip(energies, i, d2)
+    energies -= 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
+    return counts, energies
+
+
 def projection_survey(
     config: FiniteConfig,
     params: ProjectionParams,
@@ -431,23 +506,9 @@ def projection_survey(
         raise ValueError(f"the count bound survey_const egbd b**(alpha - survey_exp eps) n is {bound}")
     threshold = b**params.eps
     b2 = b * b
-    self_term = 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
 
     def one_r(r: float) -> SurveyRow:
-        counts = np.empty(n, dtype=np.int64)
-        row_energy = np.empty(n)
-        mask_buf = _tile_buffer(n, bool)
-        for i, d2 in _pair_tiles(xi(r, pts)):
-            rows = slice(i, i + len(d2))
-            mask = np.less_equal(d2, b2, out=mask_buf[: len(d2)])
-            counts[rows] = _row_counts(mask)
-            # b2 >= 0, so this also clips the negative rounding residues
-            np.maximum(d2, b2, out=d2)
-            if alpha == 2.0:
-                np.divide(1.0, d2, out=d2)
-            else:
-                np.power(d2, -alpha / 2.0, out=d2)
-            row_energy[rows] = d2.sum(axis=1) - self_term
+        counts, row_energy = _image_sums(xi(r, pts), b2, alpha)
         return SurveyRow(
             r=r,
             exceptional_fraction=float(np.count_nonzero(counts > bound) / n),
@@ -557,7 +618,7 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
         # counts as a return at distance 0
         k = np.arange(rows)
         d2[k, first + k] = math.inf
-        flat = np.flatnonzero(np.less(d2, cut, out=mask_buf[:rows]))
+        flat = np.flatnonzero(np.less(d2, cut, out=_tile_view(mask_buf, d2.shape)))
         dist = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
         near = dist < b
         owner, dist = flat[near] // n, dist[near]

@@ -231,6 +231,9 @@ def test_empty_and_oversized_configs_rejected():
         nonconcentration_constant(big, 1.0, 0.5)
     with pytest.raises(ValueError):
         projection_concentration(FiniteConfig.random_ball(5, seed=0), math.nan, 0.1)
+    # a negative b once counted as -b, since b * b > 0
+    with pytest.raises(ValueError, match="b must be >= 0"):
+        projection_concentration(FiniteConfig.random_ball(5, seed=0), 0.5, -0.2)
     # one point over the ceiling fails before any point is drawn or any
     # pairwise tile is built
     with pytest.raises(CapacityExceeded):
@@ -542,6 +545,8 @@ def test_pair_tiles_row_blocks_match_one_tile(monkeypatch):
     one = run()
     monkeypatch.setattr(projection, "_TILE_ENTRIES", 61 * 8)
     assert [len(d2) for _, d2 in projection._pair_tiles(cfg.points)] == [8] * 7 + [5]
+    strips = [(i, d2.shape) for i, d2 in projection._pair_tiles(cfg.points, upper=True)]
+    assert strips == [(i, (min(8, 61 - i), 61 - i)) for i in range(0, 61, 8)]
     tiled = run()
     assert np.array_equal(tiled[0], one[0])
     assert tiled[1] == one[1]
@@ -554,30 +559,35 @@ def test_pair_tiles_row_blocks_match_one_tile(monkeypatch):
     assert tiled[3][0] == pytest.approx(one[3][0], rel=1e-12)
 
 
-def _allocating_tiles(x, step):
-    """Reference kernel: one allocating expression per tile, no reused buffers, no clip."""
+def _allocating_tiles(x, step, upper=False):
+    """Reference kernel: one allocating expression per tile, no reused buffers, no clip.
+
+    With upper=True a tile is the strip of rows [i, i + step) by columns [i, n).
+    """
     sq = np.sum(x**2, axis=1)
     for i in range(0, len(x), step):
-        rows = slice(i, i + step)
-        yield i, sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
+        rows, cols = slice(i, i + step), slice(i if upper else 0, len(x))
+        yield i, sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x.T[:, cols])
 
 
 def _assert_tiles_match_allocating_formula(x, some_negative=True):
-    step = max(1, projection._TILE_ENTRIES // len(x))
-    got = [(i, d2.copy()) for i, d2 in projection._pair_tiles(x)]
-    want = list(_allocating_tiles(x, step))
-    assert [i for i, _ in got] == [i for i, _ in want]
+    n = len(x)
+    step = max(1, projection._TILE_ENTRIES // n)
     sq = np.sum(x**2, axis=1)
-    for (i, g), (_, w) in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
-        # clipped by its consumer, a tile is the clipped squared distance of
-        # the formula the kernel yielded before tiles were left unclipped
-        rows = slice(i, i + step)
-        clipped = np.maximum(sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T), 0.0)
-        assert np.array_equal(np.maximum(g, 0.0), clipped)
-    if some_negative:  # rounding leaves some entries below 0, so the clip is exercised
-        assert any(np.any(g < 0) for _, g in got)
+    for upper in (False, True):
+        got = [(i, d2.copy()) for i, d2 in projection._pair_tiles(x, upper=upper)]
+        want = list(_allocating_tiles(x, step, upper))
+        assert [i for i, _ in got] == [i for i, _ in want] == list(range(0, n, step))
+        for (i, g), (_, w) in zip(got, want):
+            assert g.shape == w.shape == (min(step, n - i), n - i if upper else n)
+            assert np.array_equal(g, w)
+            # clipped by its consumer, a tile is the clipped squared distance of
+            # the formula the kernel yielded before tiles were left unclipped
+            rows, cols = slice(i, i + step), slice(i if upper else 0, n)
+            clipped = np.maximum(sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x.T[:, cols]), 0.0)
+            assert np.array_equal(np.maximum(g, 0.0), clipped)
+        if some_negative:  # rounding leaves some entries below 0, so the clip is exercised
+            assert any(np.any(g < 0) for _, g in got)
 
 
 def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
@@ -605,7 +615,26 @@ def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
     _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(61, radius=0.5, seed=12).points)
 
 
+def _entry_matrix(img, b, alpha):
+    """The n x n clipped energy terms of an image as the strips evaluate them.
+
+    Each unordered pair comes from the allocating strip formula once and
+    is mirrored, so row i holds every term of point i's energy.
+    """
+    n = len(img)
+    terms = np.empty((n, n))
+    for i, d2 in _allocating_tiles(img, max(1, projection._TILE_ENTRIES // n), upper=True):
+        clipped = np.maximum(d2, b * b)
+        e = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+        m = len(e)
+        terms[i : i + m, i:] = e
+        terms[i + m :, i : i + m] = e[:, m:].T
+    return terms
+
+
 def test_projection_survey_energies_match_allocating_reduction():
+    # 300 points are two strips (218 and 82 rows), so the column sums of the
+    # first strip reach the last 82 points before their own row sums
     cfg = FiniteConfig.random_ball(300, seed=2)
     b = 0.05
     for alpha in (2.0, 1.5):
@@ -613,14 +642,96 @@ def test_projection_survey_energies_match_allocating_reduction():
         row = projection_survey(cfg, params, [0.4]).rows[0]
         img = xi(0.4, cfg.points)
         step = max(1, projection._TILE_ENTRIES // len(img))
-        energy = np.empty(len(img))
+        energy = np.zeros(len(img))
         self_term = 1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0)
-        for i, d2 in _allocating_tiles(img, step):
+        for i, d2 in _allocating_tiles(img, step, upper=True):
             clipped = np.maximum(d2, b * b)
             e = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
-            energy[i : i + len(d2)] = e.sum(axis=1) - self_term
+            m = len(e)
+            energy[i : i + m] = energy[i : i + m] + e.sum(axis=1)
+            energy[i + m :] = energy[i + m :] + e[:, m:].sum(axis=0)
+        energy = energy - self_term
+        assert np.array_equal(projection._image_sums(img, b * b, alpha)[1], energy)
         assert row.energy_median == float(np.median(energy))
         assert row.energy_p95 == float(np.percentile(energy, 95))
+
+
+def test_survey_row_energies_match_fsum_of_each_row():
+    # the strip order sums a row's terms in another order than one pass over
+    # the row; either stays within a few ulp of the correctly rounded sum
+    # (at most 7 ulp of the row total measured here)
+    b = 0.05
+    for n, r in ((300, 0.0), (300, 0.4), (571, 1.0)):
+        img = xi(r, FiniteConfig.random_ball(n, seed=2).points)
+        for alpha in (2.0, 1.5):
+            energy = projection._image_sums(img, b * b, alpha)[1]
+            self_term = 1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0)
+            for got, terms in zip(energy, _entry_matrix(img, b, alpha).tolist()):
+                want = math.fsum(terms + [-self_term])
+                assert abs(got - want) <= 16 * math.ulp(math.fsum(terms)), (n, r, alpha)
+
+
+def _brute_counts(x, b):
+    """Points within b of each point, itself included, over exact coordinate differences.
+
+    Each unordered pair is tested once and counted for both of its points.
+    Fails when a pair lies within 1e-9 relative of b, where the kernel's
+    rounding may decide otherwise.
+    """
+    n = len(x)
+    counts = np.ones(n, dtype=np.int64)
+    for i in range(n - 1):
+        d2 = np.sum((x[i + 1 :] - x[i]) ** 2, axis=1)
+        assert not np.any(np.abs(d2 - b * b) <= 1e-9 * b * b)
+        near = d2 <= b * b
+        counts[i] += np.count_nonzero(near)
+        counts[i + 1 :] += near
+    return counts
+
+
+def _count_cases():
+    """(points, eight_row_strips) cases.
+
+    61 points cut into 8-row strips and a 5-row last one, 200 points in one
+    strip, 300 in two (218 and 82 rows) and 571 in 114-row strips and a
+    one-row last one.
+    """
+    return [
+        (FiniteConfig.random_ball(61, radius=0.5, seed=12).points, True),
+        (FiniteConfig.random_ball(200, seed=1).points, False),
+        (FiniteConfig.random_ball(300, radius=0.6, seed=5).points, False),
+        (FiniteConfig.random_ball(571, seed=4).points, False),
+    ]
+
+
+def test_strip_counts_match_brute_force_over_unordered_pairs(monkeypatch):
+    params = ProjectionParams(alpha=2.0, b1=0.02, b=0.1, eps=1e-4, egbd=1.0)
+    default = projection._TILE_ENTRIES
+    for pts, eight_row_strips in _count_cases():
+        monkeypatch.setattr(projection, "_TILE_ENTRIES", len(pts) * 8 if eight_row_strips else default)
+        cfg = FiniteConfig(points=pts)
+        for r, b in ((0.62, 0.2), (0.1, 0.1)):
+            img = xi(r, pts)
+            want = _brute_counts(img, b)
+            assert np.array_equal(projection_concentration(cfg, r, b), want)
+            assert np.array_equal(projection._image_sums(img, b * b, 1.5)[0], want)
+        res = projection_survey(cfg, params, [0.1])
+        want = _brute_counts(xi(0.1, pts), 0.1)
+        assert res.rows[0].max_count == int(want.max())
+        assert res.rows[0].exceptional_fraction == float(np.count_nonzero(want > res.count_bound) / len(pts))
+
+
+def test_nonconcentration_constant_matches_brute_force(monkeypatch):
+    default = projection._TILE_ENTRIES
+    for pts, eight_row_strips in _count_cases():
+        monkeypatch.setattr(projection, "_TILE_ENTRIES", len(pts) * 8 if eight_row_strips else default)
+        cfg = FiniteConfig(points=pts)
+        for alpha, b1 in ((1.5, 0.05), (2.0, 0.11)):
+            scales = [b1]
+            while scales[-1] < 1.0:
+                scales.append(min(2.0 * scales[-1], 1.0))
+            want = max(int(_brute_counts(pts, s).max()) / (s**alpha * len(pts)) for s in scales)
+            assert nonconcentration_constant(cfg, alpha, b1) == want
 
 
 def _traced_peak(fn):
@@ -639,6 +750,7 @@ def test_pairwise_consumers_stay_within_memory_budget():
     cfg = FiniteConfig.random_ball(2000, seed=0)
     params = ProjectionParams(alpha=2.0, b1=0.02, b=0.02, eps=1e-4, egbd=1.0)
     assert _traced_peak(lambda: projection_survey(cfg, params, [0.5])) < budget
+    assert _traced_peak(lambda: nonconcentration_constant(cfg, 2.0, 0.02)) < budget
     cluster = FiniteConfig.random_ball(2000, radius=0.04, seed=0)
     assert _traced_peak(lambda: improvement_step_sim(cluster, 1.5, 1.0, 0.02, 1, 2)) < budget
 
@@ -748,7 +860,7 @@ def test_margulis_profile_matches_reference_under_blas_kernels(run_under_coretyp
 
 
 def test_survey_and_profiles_are_charged_before_the_first_tile(monkeypatch):
-    def no_tiles(x):
+    def no_tiles(x, upper=False):
         raise AssertionError("a tile was built past the ceiling")
 
     monkeypatch.setattr(projection, "_pair_tiles", no_tiles)
