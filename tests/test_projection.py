@@ -615,6 +615,13 @@ def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
     _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(61, radius=0.5, seed=12).points)
 
 
+def _energy_strips(img, b, alpha):
+    """Allocating reference for the survey: (first, clipped energy terms) per strip."""
+    for i, d2 in _allocating_tiles(img, max(1, projection._TILE_ENTRIES // len(img)), upper=True):
+        clipped = np.maximum(d2, b * b)
+        yield i, 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+
+
 def _entry_matrix(img, b, alpha):
     """The n x n clipped energy terms of an image as the strips evaluate them.
 
@@ -623,9 +630,7 @@ def _entry_matrix(img, b, alpha):
     """
     n = len(img)
     terms = np.empty((n, n))
-    for i, d2 in _allocating_tiles(img, max(1, projection._TILE_ENTRIES // n), upper=True):
-        clipped = np.maximum(d2, b * b)
-        e = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+    for i, e in _energy_strips(img, b, alpha):
         m = len(e)
         terms[i : i + m, i:] = e
         terms[i + m :, i : i + m] = e[:, m:].T
@@ -641,16 +646,12 @@ def test_projection_survey_energies_match_allocating_reduction():
         params = ProjectionParams.measured(cfg, alpha=alpha, b1=b, b=b)
         row = projection_survey(cfg, params, [0.4]).rows[0]
         img = xi(0.4, cfg.points)
-        step = max(1, projection._TILE_ENTRIES // len(img))
         energy = np.zeros(len(img))
-        self_term = 1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0)
-        for i, d2 in _allocating_tiles(img, step, upper=True):
-            clipped = np.maximum(d2, b * b)
-            e = 1.0 / clipped if alpha == 2.0 else clipped ** (-alpha / 2.0)
+        for i, e in _energy_strips(img, b, alpha):
             m = len(e)
             energy[i : i + m] = energy[i : i + m] + e.sum(axis=1)
             energy[i + m :] = energy[i + m :] + e[:, m:].sum(axis=0)
-        energy = energy - self_term
+        energy = energy - (1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0))
         assert np.array_equal(projection._image_sums(img, b * b, alpha)[1], energy)
         assert row.energy_median == float(np.median(energy))
         assert row.energy_p95 == float(np.percentile(energy, 95))
