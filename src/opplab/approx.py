@@ -35,10 +35,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import lattice
 from .enumeration import WitnessTable, witness_table
 from .errors import NoCandidate, _Capacity
 from .forms import NormalizedForm, as_form, gram_determinant, normalize
-from .lattice import lll_reduce
 from .util import canonical_mask, power
 
 EXHAUSTIVE_LIMIT = 12
@@ -258,7 +258,7 @@ def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
     bases[:, 1:, 0] = scales[:, None] * q6
     for i in range(6):
         bases[:, 1 + i, 1 + i] = -scales
-    _, transforms = lll_reduce(bases)
+    _, transforms = lattice.lll_reduce(bases)
     cols = np.concatenate([t[:, t[0] != 0].T for t in transforms])[:, 1:]
 
     m = np.concatenate([mult, cols])

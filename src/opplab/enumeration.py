@@ -607,9 +607,11 @@ def _ladder_counts(blocks: Iterator[tuple[np.ndarray, ...]], T_list: list[float]
     The pass must cover the largest T.  Each hit is binned by the first
     ladder level T^2 (the float count_values compares against) that holds
     its |v|^2; the cumulative bins are the counts, in the order of T_list.
+    A repeated level bins nothing past its first copy, so the levels need
+    no deduplication (np.unique would also import numpy.ma).
     """
     T2s = np.array([T * T for T in T_list])
-    levels = np.unique(T2s)
+    levels = np.sort(T2s)
     hist = np.zeros(len(levels), dtype=np.int64)
     for _, _, n2 in blocks:
         hist += np.bincount(np.searchsorted(levels, n2), minlength=len(levels))

@@ -55,7 +55,9 @@ it (or copy it) before the generator advances, and may overwrite it in
 place.  A tile is not clipped at 0: rounding can leave an entry slightly
 negative.  The neighbour counts compare with a square b^2 >= 0 and the
 energies clip at b^2 themselves, so neither needs the clip; the near
-returns clip the entries they gather.  Counts are exact in any order.  A
+returns clip the entries they gather.  Every count holds the point itself,
+taken by index (_add_strip_hits), whatever its self-entry's residue.
+Counts are exact in any order.  A
 survey energy sums a point's terms in a fixed order: the column sums of
 the strips before the point's own, in strip order, then its own row sum
 (pairwise, as numpy sums a row).  That order, like the tile layout,
@@ -77,6 +79,12 @@ improvement_step_sim are shared out to forked worker processes by
 util.parallel_map, which joins the results in item order.  The kernel
 refuses points whose squared distances would overflow float64, such as a
 configuration transported by a large ell.
+
+The quantiles a survey row and improvement_step_sim report (medians and
+95th percentiles) are opplab's own, _median_and_p95: one sort and numpy's
+'linear' rule, step for step, so they have the bits np.median and
+np.percentile give in numpy 2.4 but no longer follow numpy's
+implementation, and a run never imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -272,6 +280,19 @@ def _add_strip(acc: np.ndarray, first: int, strip: np.ndarray) -> None:
     acc[first + m :] += strip[:, m:].sum(axis=0, dtype=dtype)
 
 
+def _add_strip_hits(counts: np.ndarray, first: int, strip: np.ndarray, b2: float, mask_buf: np.ndarray) -> None:
+    """Add the pairs of an upper-triangle strip within sqrt(b2) to per-point counts.
+
+    A point always counts itself: its self-entry strip[k, k] is a rounding
+    residue that may lie above b2 (at b2 = 0, say), so the mask takes the
+    diagonal by index, as _margulis_profile excludes the self-pair.
+    """
+    mask = np.less_equal(strip, b2, out=_tile_view(mask_buf, strip.shape))
+    k = np.arange(len(strip))
+    mask[k, k] = True
+    _add_strip(counts, first, mask)
+
+
 def _pair_tiles(x: np.ndarray, upper: bool = False):
     """Yield (first_row, d2), d2[k, j] ~ |x[first_row + k] - x[first_col + j]|^2, in row order.
 
@@ -363,9 +384,8 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     counts = np.zeros((len(scales), n), dtype=np.int64)
     mask_buf = _tile_buffer(n, bool)
     for i, d2 in _pair_tiles(pts, upper=True):
-        mask = _tile_view(mask_buf, d2.shape)
         for k, scale in enumerate(scales):
-            _add_strip(counts[k], i, np.less_equal(d2, scale * scale, out=mask))
+            _add_strip_hits(counts[k], i, d2, scale * scale, mask_buf)
     top = counts.max(axis=1).tolist()
     return max(float(count) / (scale**alpha * n) for count, scale in zip(top, scales))
 
@@ -379,8 +399,9 @@ def projection_concentration(config: FiniteConfig, r: float, b: float) -> np.nda
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     counts = np.zeros(len(config), dtype=np.int64)
+    mask_buf = _tile_buffer(len(config), bool)
     for i, d2 in _pair_tiles(xi(r, config.points), upper=True):
-        _add_strip(counts, i, d2 <= b * b)
+        _add_strip_hits(counts, i, d2, b * b, mask_buf)
     return counts
 
 
@@ -450,18 +471,18 @@ def _image_sums(img: np.ndarray, b2: float, alpha: float) -> tuple[np.ndarray, n
     """(counts, energies) per point of an image, from the strips of its pairs.
 
     counts[i] is how many images lie within sqrt(b2) of image i, itself
-    included; energies[i] is the sum over the other images j of
-    max(d2_ij, b2)^(-alpha/2).  Each unordered pair is evaluated once and
-    summed in the order of _add_strip.  The self-entry, a rounding residue
-    near 0, is summed with the rest, and the self term b2^(-alpha/2) it
-    clips to is subtracted at the end.
+    always included (_add_strip_hits); energies[i] is the sum over the
+    other images j of max(d2_ij, b2)^(-alpha/2).  Each unordered pair is
+    evaluated once and summed in the order of _add_strip.  In the energy
+    the self-entry, a rounding residue near 0, is summed with the rest, and
+    the self term b2^(-alpha/2) it clips to is subtracted at the end.
     """
     n = len(img)
     counts = np.zeros(n, dtype=np.int64)
     energies = np.zeros(n)
     mask_buf = _tile_buffer(n, bool)
     for i, d2 in _pair_tiles(img, upper=True):
-        _add_strip(counts, i, np.less_equal(d2, b2, out=_tile_view(mask_buf, d2.shape)))
+        _add_strip_hits(counts, i, d2, b2, mask_buf)
         # b2 >= 0, so this also clips the negative rounding residues
         np.maximum(d2, b2, out=d2)
         if alpha == 2.0:
@@ -471,6 +492,38 @@ def _image_sums(img: np.ndarray, b2: float, alpha: float) -> tuple[np.ndarray, n
         _add_strip(energies, i, d2)
     energies -= 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
     return counts, energies
+
+
+def _median_and_p95(values: np.ndarray) -> tuple[float, float]:
+    """(np.median(values), np.percentile(values, 95)) of a nonempty array, from one sorted copy.
+
+    The steps are numpy's own, so the bits are too: the median is the middle
+    value, or (a + b) / 2.0 of the two middle values, summed from +0.0 as
+    numpy's mean sums (so a zero median is +0.0); the 95th percentile is
+    numpy's 'linear' rule, virtual index (n - 1) * 0.95 between its floor
+    and the next value, interpolated as numpy's _lerp does, and at an index
+    of n - 1 or more (n = 1) the last value twice at weight index + 1, which
+    gives NaN for an infinite value as numpy does.  A NaN anywhere gives NaN
+    for both.  Unlike np.median and np.percentile, it does not import
+    numpy.ma.
+    """
+    s = np.sort(values, axis=None)
+    n = len(s)
+    if math.isnan(s[-1]):  # the sort puts every NaN last
+        return math.nan, math.nan
+    mid = n // 2
+    median = float(s[mid]) + 0.0 if n % 2 else (float(s[mid - 1]) + float(s[mid]) + 0.0) / 2.0
+    index = (n - 1) * 0.95
+    if index >= n - 1:
+        a = b = float(s[-1])
+        g = index + 1.0
+    else:
+        k = math.floor(index)
+        a, b = float(s[k]), float(s[k + 1])
+        g = index - k
+    diff = b - a
+    p95 = b - diff * (1.0 - g) if g >= 0.5 else a + diff * g
+    return median, p95
 
 
 def projection_survey(
@@ -509,12 +562,13 @@ def projection_survey(
 
     def one_r(r: float) -> SurveyRow:
         counts, row_energy = _image_sums(xi(r, pts), b2, alpha)
+        median, p95 = _median_and_p95(row_energy)
         return SurveyRow(
             r=r,
             exceptional_fraction=float(np.count_nonzero(counts > bound) / n),
             max_count=int(counts.max()),
-            energy_median=float(np.median(row_energy)),
-            energy_p95=float(np.percentile(row_energy, 95)),
+            energy_median=median,
+            energy_p95=p95,
         )
 
     rows = parallel_map(one_r, rs)
@@ -691,12 +745,13 @@ def improvement_step_sim(
     results = parallel_map(one_rho, rhos.tolist())
     ratios = np.stack([r for r, _ in results])
     flat = ratios.ravel()
+    ratio_median, ratio_p95 = _median_and_p95(flat)
     return ImprovementStats(
         rho_values=[float(r) for r in rhos],
-        rho_medians=[float(np.median(row)) for row in ratios],
-        ratio_median=float(np.median(flat)),
+        rho_medians=[_median_and_p95(row)[0] for row in ratios],
+        ratio_median=ratio_median,
         ratio_mean=float(np.mean(flat)),
-        ratio_p95=float(np.percentile(flat, 95)),
+        ratio_p95=ratio_p95,
         ratio_min=float(np.min(flat)),
         ratio_max=float(np.max(flat)),
         floor_fraction_before=float(np.mean(old_floor)),

@@ -465,7 +465,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:  # --help
         rc = exc.code
 # a layer still waiting to load is a LazyLoader module, not a plain ModuleType
-print(json.dumps({"rc": rc, "executed": sorted(
+print(json.dumps({"rc": rc, "numpy.ma": "numpy.ma" in sys.modules, "executed": sorted(
     name for name, m in sys.modules.items() if name.startswith("opplab.") and type(m) is types.ModuleType
 )}))
 """
@@ -480,8 +480,14 @@ _ALWAYS = ("cli", "errors", "util")
         (["witness", "--form", SQF2, "--T", "20"], (*_ALWAYS, "enumeration", "forms")),
         (["equidist", "--form", SQF2, "--T", "5", "--N", "16"], (*_ALWAYS, "flows", "forms", "lattice")),
         (["projection", "--random-theta", "30", "--r-count", "3"], (*_ALWAYS, "projection")),
+        (["margulis", "--random-theta", "30", "--ball-radius", "0.04", "--M", "2"], (*_ALWAYS, "projection")),
+        (["count", "--form", SQF2, "--a=-1", "--b", "1", "--T", "20,40"], (*_ALWAYS, "enumeration", "forms")),
+        # the certified ladder reduces no lattice
+        (["dichotomy", "--form", SQF2, "--R", "4", "--T", "1e9", "--eps", "0.05"],
+         (*_ALWAYS, "approx", "enumeration", "forms")),
+        (["rational", "--form", SQF2, "--R", "1,2,4"], (*_ALWAYS, "approx", "enumeration", "forms")),
     ],
-    ids=["help", "witness", "equidist", "projection"],
+    ids=["help", "witness", "equidist", "projection", "margulis", "count", "dichotomy", "rational"],
 )
 def test_a_subcommand_executes_only_its_layers(argv, layers):
     proc = subprocess.run(
@@ -491,6 +497,8 @@ def test_a_subcommand_executes_only_its_layers(argv, layers):
     got = json.loads(proc.stdout)
     assert got["rc"] == 0
     assert got["executed"] == sorted(f"opplab.{layer}" for layer in layers)
+    # np.median, np.percentile and plain np.unique import it on first use
+    assert got["numpy.ma"] is False
 
 
 def test_every_public_name_resolves_to_its_layer():

@@ -357,7 +357,7 @@ def test_lll_matches_numpy_reference_on_diophantine_bases(monkeypatch):
         stacks.append(np.array(basis))
         return lll_reduce(basis, *args, **kwargs)
 
-    monkeypatch.setattr(approx, "lll_reduce", recording)
+    monkeypatch.setattr(lattice, "lll_reduce", recording)
     approx._heuristic_candidates(np.asarray(_sqf2().form.entries, dtype=float), 16)
     (stack,) = stacks
     bases = list(stack)

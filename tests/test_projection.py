@@ -295,10 +295,10 @@ def test_projection_concentration_extremes():
     cfg = FiniteConfig.random_ball(40, seed=2)
     everything = projection_concentration(cfg, 0.3, 10.0)
     assert np.all(everything == 40)
-    # small enough to isolate each image, large enough to absorb the
-    # ~1e-18 rounding residue in each self-distance
-    only_self = projection_concentration(cfg, 0.3, 1e-6)
-    assert np.all(only_self == 1)
+    # small enough to isolate each image; a point counts itself whatever
+    # the rounding residue of its self-distance
+    for b in (1e-6, 0.0):
+        assert np.all(projection_concentration(cfg, 0.3, b) == 1)
 
 
 def test_projection_concentration_brute_oracle():
@@ -891,3 +891,22 @@ def test_uniform_r_grid_is_charged_before_it_is_built(monkeypatch):
         projection.uniform_r_grid(3977, 2000)
     with pytest.raises(CapacityExceeded):
         projection.uniform_r_grid(10**12, 5)
+
+
+def test_strip_counts_take_the_self_pair_by_index():
+    # a self-entry is a rounding residue: here 27 of the 300 are above 0, so
+    # at b = 0 or 1e-12 a plain d2 <= b^2 test would drop those points from
+    # their own counts
+    pts = FiniteConfig.random_ball(300, seed=0).points
+    img = xi(0.3, pts)
+    cfg = FiniteConfig(points=pts)
+    for b in (0.0, 1e-12):
+        want = _brute_counts(img, b)
+        assert np.array_equal(projection_concentration(cfg, 0.3, b), want)
+        # a float64 b^2 of 0 makes the energies inf - inf instead of raising;
+        # only the counts are checked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(projection._image_sums(img, np.float64(b * b), 1.5)[0], want)
+    params = ProjectionParams(alpha=2.0, b1=1e-12, b=1e-12, eps=1e-5, egbd=1.0)
+    row = projection_survey(cfg, params, [0.3]).rows[0]
+    assert (row.max_count, row.exceptional_fraction) == (1, 1.0)
