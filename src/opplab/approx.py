@@ -16,6 +16,13 @@ confines lam, and with it every entry, to a few integers, and only those
 candidates are scored.  Beyond R = 12 the best canonical heuristic
 candidate is reported, flagged non-certified.
 
+Both paths choose and print by one scorer, _score: lam from the exact
+integer determinant by the scalar signed_inverse_cuberoot, then one scalar
+max.  _best_row ranks a block of rows in numpy, whose vectorized pow may
+round lam an ulp away from the scalar one on some CPUs; that only narrows
+the rows, and every row near the least is scored again by _score.  So the
+winner, its dist and its lam do not depend on the CPU's numpy dispatch.
+
 "Integral form" means integer Gram entries, not merely integer values:
 the classical integer-valued forms with half-integer cross entries are
 representable here after doubling.
@@ -73,11 +80,6 @@ def signed_inverse_cuberoot(det: int | float) -> float:
     return math.copysign(abs(d) ** (-1.0 / 3.0), d)
 
 
-def _entry_distance(q_entries: Sequence[float], qprime: IntegralForm) -> float:
-    lam = signed_inverse_cuberoot(qprime.determinant())
-    return float(max(abs(q - lam * m) for q, m in zip(q_entries, qprime.entries)))
-
-
 @dataclass(frozen=True)
 class ApproxResult:
     """Best (or best-found) integral approximation at entry bound R."""
@@ -93,9 +95,12 @@ class ApproxResult:
 _TILE_ROWS = 1 << 16
 
 #: What one integer multiple of the heuristic pool charges, in candidates of
-#: the certified search: building, keeping and scoring it takes 15-30 us (SQF2
-#: at R = 4e207, 200,000 multiples, 2 cores), against about 150 ns to score a
-#: candidate.  _heuristic_candidates charges its multiples before it builds them.
+#: the certified search.  Building, keeping and scoring it took 15-30 us when
+#: the pool was a set of IntegralForm objects, and takes 1.1-1.6 us as a row
+#: of one array (SQF2 at R = 4e207, 200,000 multiples, 2 cores), against about
+#: 150 ns to score a candidate; the charge is kept, so a ladder that fitted
+#: the ceiling still does.  _heuristic_candidates charges its multiples before
+#: it builds them.
 _MULTIPLE_WORK = 200
 
 #: What one m11 step of _search_boxes charges, in candidates: the walk over
@@ -105,9 +110,22 @@ _MULTIPLE_WORK = 200
 _STEP_WORK = 1_000
 
 
-def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Least (dist, entries) over the canonical nondegenerate rows of m (n x 6 int64)."""
-    m11, m22, m33, m12, m13, m23 = m.T
+def _score(q6: Sequence[float], row: Sequence[int]) -> tuple[float, float]:
+    """(dist, lam) of one integral form, lam from its exact determinant: the one rule of this module."""
+    lam = signed_inverse_cuberoot(gram_determinant(*row))
+    return float(max([abs(q - lam * x) for q, x in zip(q6, row)])), lam
+
+
+def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int, ...], float]]:
+    """Least (dist, entries, lam) by _score over the canonical nondegenerate rows of m.
+
+    m is an n x 6 array of integers, int64 or Python ints (dtype object).
+    numpy ranks the rows, and every row within 1e-12 (least + max|q_i|) of
+    the least numpy dist is scored again by _score.  numpy's pow may differ
+    from the scalar one by an ulp of lam, which moves a dist by about
+    2^-51 (max|q_i| + dist), far inside that window, so it only narrows the
+    rows: the winner and its printed figures are _score's on every CPU.
+    """
     det = gram_determinant(*m.T)
     valid = (det != 0) & canonical_mask(m)
     if not np.any(valid):
@@ -115,17 +133,21 @@ def _best_row(q6: np.ndarray, m: np.ndarray) -> Optional[tuple[float, tuple[int,
     detf = det.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.sign(detf) * np.abs(detf) ** (-1.0 / 3.0)
-    dist = np.abs(q6[0] - lam * m11)
-    np.maximum(dist, np.abs(q6[1] - lam * m22), out=dist)
-    np.maximum(dist, np.abs(q6[2] - lam * m33), out=dist)
-    np.maximum(dist, np.abs(q6[3] - lam * m12), out=dist)
-    np.maximum(dist, np.abs(q6[4] - lam * m13), out=dist)
-    np.maximum(dist, np.abs(q6[5] - lam * m23), out=dist)
+    # int64 columns are cast inside the ufuncs: a float copy of every tile
+    # made the certified search on [10,-1,-0.1] at R = 8 a quarter slower
+    mf = m.astype(float) if m.dtype == object else m
+    dist = np.abs(q6[0] - lam * mf[:, 0])
+    for i in range(1, 6):
+        np.maximum(dist, np.abs(q6[i] - lam * mf[:, i]), out=dist)
     dist[~valid] = np.inf
-    j = int(np.argmin(dist))
-    if not np.isfinite(dist[j]):
+    least = float(np.min(dist))
+    if not math.isfinite(least):
         return None
-    return float(dist[j]), tuple(int(x) for x in m[j])
+    near = dist <= least + 1e-12 * (least + float(np.max(np.abs(q6))))
+    # Python floats: the same arithmetic as numpy scalars, and faster
+    q = q6.tolist()
+    rows = map(tuple, m[near].tolist())
+    return min((d, row, lam) for row in rows for d, lam in [_score(q, row)])
 
 
 def _incumbent(q6: np.ndarray, r: int) -> float:
@@ -199,12 +221,12 @@ def _box_tiles(ranges: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         yield np.stack(np.unravel_index(idx, shape), axis=1) + lows
 
 
-def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
-    """Certified minimizer over the canonical half of the entry box [-r, r]^6.
+def _exhaustive_search(q6: np.ndarray, r: int) -> tuple[float, tuple[int, ...], float]:
+    """Certified (dist, entries, lam) of the minimizer over the canonical half of the entry box [-r, r]^6.
 
     Branch and bound: the incumbent bounds the optimum, and only the boxes
-    of _search_boxes within that bound are scored.  The scores use the
-    same arithmetic as a scan of the whole half-box, and the minimum is
+    of _search_boxes within that bound are scored.  The scores are
+    _best_row's, as in a scan of the whole half-box, and the minimum is
     taken in (dist, entries) order, so the result is the same
     lexicographically least minimizer, bit for bit.
     """
@@ -220,7 +242,7 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
     boxes = list(_search_boxes(q6, r, d))
     for ranges in boxes:
         tally.add(math.prod(hi - lo + 1 for lo, hi in ranges))
-    best: Optional[tuple[float, tuple[int, ...]]] = None
+    best: Optional[tuple[float, tuple[int, ...], float]] = None
     for ranges in boxes:
         for m in _box_tiles(ranges):
             res = _best_row(q6, m)
@@ -228,7 +250,7 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> IntegralForm:
                 best = res
     if best is None:
         raise NoCandidate(f"no nondegenerate integral form with entries in [-{r}, {r}]")
-    return IntegralForm(*best[1])
+    return best
 
 
 def _multiples(q6: np.ndarray, r: int) -> int:
@@ -241,10 +263,12 @@ def _upfront_work(q6: np.ndarray, r: int, certified: bool) -> int:
     return _STEP_WORK * (r + 1) if certified else _MULTIPLE_WORK * _multiples(q6, r)
 
 
-def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
+def _heuristic_candidates(q6: np.ndarray, r: int) -> np.ndarray:
     """Non-certified candidate pool: rounded multiples and reduced lattice columns.
 
-    Each is canonical, as on the certified path: a form and its negation are one candidate.
+    Each row is canonical, as on the certified path: a form and its negation
+    are one candidate.  The rows are Python ints (dtype object), so their
+    determinants stay exact past int64.
     """
     _Capacity(f"candidates of the heuristic pool at R={r}").add(_upfront_work(q6, r, False))
     ns = np.arange(1, _multiples(q6, r) + 1, dtype=float)
@@ -265,9 +289,7 @@ def _heuristic_candidates(q6: np.ndarray, r: int) -> list[IntegralForm]:
     m = m[np.max(np.abs(m), axis=1) <= r]
     m = np.where(canonical_mask(m)[:, None], m, -m)
     # (1, -1, -1) guarantees a nondegenerate fallback
-    cands = {(1, -1, -1, 0, 0, 0), *map(tuple, m.tolist())}
-    forms = [IntegralForm(*t) for t in sorted(cands)]
-    return [f for f in forms if f.determinant() != 0]
+    return np.concatenate([m, [[1, -1, -1, 0, 0, 0]]]).astype(object)
 
 
 def _entry_bound(R: float) -> int:
@@ -288,22 +310,9 @@ def best_rational_approx(
     """
     r = _entry_bound(R)
     q6 = np.asarray(as_form(q).entries, dtype=float)
-    if r <= exhaustive_limit:
-        qprime = _exhaustive_search(q6, r)
-        certified = True
-    else:
-        pool = _heuristic_candidates(q6, r)
-        if not pool:
-            raise NoCandidate(f"heuristic pool empty at R={R}")
-        qprime = min(pool, key=lambda f: (_entry_distance(q6, f), f.entries))
-        certified = False
-    return ApproxResult(
-        qprime=qprime,
-        lam=signed_inverse_cuberoot(qprime.determinant()),
-        dist=_entry_distance(q6, qprime),
-        bound=float(R),
-        certified=certified,
-    )
+    certified = r <= exhaustive_limit
+    dist, entries, lam = _exhaustive_search(q6, r) if certified else _best_row(q6, _heuristic_candidates(q6, r))
+    return ApproxResult(IntegralForm(*entries), lam=lam, dist=dist, bound=float(R), certified=certified)
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,14 @@ The truncated-energy profiles of improvement_step_sim take whole rows.
 The kernel allocates its two buffers once per call and refills them for
 every tile, so a yielded tile is a reused buffer: the consumer must reduce
 it (or copy it) before the generator advances, and may overwrite it in
-place.  A tile is not clipped at 0: rounding can leave an entry slightly
-negative.  The neighbour counts compare with a square b^2 >= 0 and the
-energies clip at b^2 themselves, so neither needs the clip; the near
-returns clip the entries they gather.  Every count holds the point itself,
-taken by index (_add_strip_hits), whatever its self-entry's residue.
-Counts are exact in any order.  A
+place.  A point's entry with itself is +inf in every tile, whatever its
+rounding residue, so no count, energy or return takes the self-pair and
+no consumer needs a special case for it: every count starts at 1 for the
+point itself.  A tile is not clipped at 0: rounding can leave an entry
+slightly negative.  The neighbour counts compare with a square b^2 >= 0
+and the energies clip at b^2 themselves, so neither needs the clip; the
+near returns clip the entries they gather.  Counts are exact in any
+order.  A
 survey energy sums a point's terms in a fixed order: the column sums of
 the strips before the point's own, in strip order, then its own row sum
 (pairwise, as numpy sums a row).  That order, like the tile layout,
@@ -283,14 +285,10 @@ def _add_strip(acc: np.ndarray, first: int, strip: np.ndarray) -> None:
 def _add_strip_hits(counts: np.ndarray, first: int, strip: np.ndarray, b2: float, mask_buf: np.ndarray) -> None:
     """Add the pairs of an upper-triangle strip within sqrt(b2) to per-point counts.
 
-    A point always counts itself: its self-entry strip[k, k] is a rounding
-    residue that may lie above b2 (at b2 = 0, say), so the mask takes the
-    diagonal by index, as _margulis_profile excludes the self-pair.
+    The self-entries are +inf and never hit, so counts that hold the point
+    itself start at 1.
     """
-    mask = np.less_equal(strip, b2, out=_tile_view(mask_buf, strip.shape))
-    k = np.arange(len(strip))
-    mask[k, k] = True
-    _add_strip(counts, first, mask)
+    _add_strip(counts, first, np.less_equal(strip, b2, out=_tile_view(mask_buf, strip.shape)))
 
 
 def _pair_tiles(x: np.ndarray, upper: bool = False):
@@ -307,7 +305,9 @@ def _pair_tiles(x: np.ndarray, upper: bool = False):
     the bits of a whole-row reduction keeps upper=False.
 
     d2 is a C-contiguous view of one buffer that the next tile overwrites:
-    reduce it before advancing.  The entries are computed as
+    reduce it before advancing.  A point's entry with itself, (k, k) of a
+    strip and (k, first_row + k) of a whole-row tile, is +inf: it is no
+    pair.  The other entries are computed as
     (sq_i + sq_j) - 2 * (x_i . x_j), operation for operation, and are not
     clipped: rounding can leave an entry slightly negative, so a consumer
     that needs a distance clips at 0 itself.  The sum sq_i + sq_j comes
@@ -340,6 +340,8 @@ def _pair_tiles(x: np.ndarray, upper: bool = False):
         np.matmul(x[rows], x.T[:, cols], out=gram)
         gram *= 2.0
         d2 -= gram
+        k = np.arange(shape[0])
+        d2[k, k + i - cols.start] = math.inf
         yield i, d2
 
 
@@ -381,7 +383,7 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     _Capacity(f"scanned-pair units of {len(scales)} scales on {n} points").add(
         len(scales) * (n * n // _PAIRS_PER_UNIT)
     )
-    counts = np.zeros((len(scales), n), dtype=np.int64)
+    counts = np.ones((len(scales), n), dtype=np.int64)
     mask_buf = _tile_buffer(n, bool)
     for i, d2 in _pair_tiles(pts, upper=True):
         for k, scale in enumerate(scales):
@@ -398,7 +400,7 @@ def projection_concentration(config: FiniteConfig, r: float, b: float) -> np.nda
         raise ValueError(f"r and b must be finite, got r={r}, b={b}")
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    counts = np.zeros(len(config), dtype=np.int64)
+    counts = np.ones(len(config), dtype=np.int64)
     mask_buf = _tile_buffer(len(config), bool)
     for i, d2 in _pair_tiles(xi(r, config.points), upper=True):
         _add_strip_hits(counts, i, d2, b * b, mask_buf)
@@ -471,14 +473,13 @@ def _image_sums(img: np.ndarray, b2: float, alpha: float) -> tuple[np.ndarray, n
     """(counts, energies) per point of an image, from the strips of its pairs.
 
     counts[i] is how many images lie within sqrt(b2) of image i, itself
-    always included (_add_strip_hits); energies[i] is the sum over the
-    other images j of max(d2_ij, b2)^(-alpha/2).  Each unordered pair is
-    evaluated once and summed in the order of _add_strip.  In the energy
-    the self-entry, a rounding residue near 0, is summed with the rest, and
-    the self term b2^(-alpha/2) it clips to is subtracted at the end.
+    always included; energies[i] is the sum over the other images j of
+    max(d2_ij, b2)^(-alpha/2).  Each unordered pair is evaluated once and
+    summed in the order of _add_strip.  The +inf self-entry adds a term of
+    0 to the energy.
     """
     n = len(img)
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.ones(n, dtype=np.int64)
     energies = np.zeros(n)
     mask_buf = _tile_buffer(n, bool)
     for i, d2 in _pair_tiles(img, upper=True):
@@ -490,7 +491,6 @@ def _image_sums(img: np.ndarray, b2: float, alpha: float) -> tuple[np.ndarray, n
         else:
             np.power(d2, -alpha / 2.0, out=d2)
         _add_strip(energies, i, d2)
-    energies -= 1.0 / b2 if alpha == 2.0 else b2 ** (-alpha / 2.0)
     return counts, energies
 
 
@@ -650,7 +650,9 @@ class ImprovementStats:
 def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-point truncated energy over a configuration, one tile at a time.
 
-    A return of point i is a point j != i with sqrt(max(d2[i, j], 0)) < b.
+    A return of point i is a point j != i with sqrt(max(d2[i, j], 0)) < b
+    (the tile's self-entries are +inf, so a coincident point still counts
+    as a return at distance 0).
     The tile is first cut at d2 < max(b*b*(1 + 1e-12), tiny), which keeps
     every return: sqrt is correctly rounded, so a rounded root below b
     means the exact root is below b and d2 < b^2 exactly, while the cut
@@ -668,10 +670,6 @@ def _margulis_profile(pts: np.ndarray, b: float, m: int, alpha: float) -> tuple[
     mask_buf = _tile_buffer(n, bool)
     for first, d2 in _pair_tiles(pts):
         rows = len(d2)
-        # the self-pair is excluded by index, so a coincident point still
-        # counts as a return at distance 0
-        k = np.arange(rows)
-        d2[k, first + k] = math.inf
         flat = np.flatnonzero(np.less(d2, cut, out=_tile_view(mask_buf, d2.shape)))
         dist = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
         near = dist < b

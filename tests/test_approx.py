@@ -10,8 +10,9 @@ from opplab.approx import (
     ApproxResult,
     IntegralForm,
     _best_row,
-    _entry_distance,
+    _heuristic_candidates,
     _power_law_fit,
+    _score,
     algebraicity_gap,
     best_rational_approx,
     dichotomy_report,
@@ -19,7 +20,7 @@ from opplab.approx import (
 )
 from opplab.cli import _json_obj, main
 from opplab.errors import CapacityExceeded
-from opplab.forms import TernaryForm, normalize
+from opplab.forms import TernaryForm, gram_determinant, normalize
 
 SQF2 = normalize(TernaryForm(1.0, -1.0, -math.sqrt(2.0)))
 RATIONAL = normalize(TernaryForm(1.0, -1.0, -1.0))
@@ -161,7 +162,7 @@ def test_certified_search_returns_full_box_minimizer():
     for q, r in cases:
         res = best_rational_approx(q, float(r))
         assert res.qprime == full_box_minimizer(q.form.entries, r), (q.form.entries, r)
-    assert _entry_distance(RATIONAL.form.entries, IntegralForm(2, -2, -2)) == 0.0
+    assert _score(RATIONAL.form.entries, (2, -2, -2, 0, 0, 0)) == (0.0, 0.5)
     assert best_rational_approx(RATIONAL, 2.0).qprime.entries == (1, -1, -1, 0, 0, 0)
     assert best_rational_approx(near_offdiag, 3.0).qprime.entries == (2, -1, 3, 1, 0, -1)
 
@@ -210,8 +211,24 @@ def test_dist_invariant_under_qprime_negation():
         f = IntegralForm(*ints)
         if f.determinant() == 0:
             continue
-        neg = IntegralForm(*(-x for x in ints))
-        assert _entry_distance(q6, f) == _entry_distance(q6, neg)
+        dist, lam = _score(q6, ints)
+        assert _score(q6, [-x for x in ints]) == (dist, -lam)
+
+
+def test_best_row_breaks_a_near_tie_by_the_scalar_score():
+    # A (det -251) and B (det -270) score the same under _score; numpy's
+    # vectorized pow rounds one lam an ulp away on some CPUs (AVX512), which
+    # made B win there though A is the lexicographically least
+    a, b = (9, 9, 10, -10, 2, -5), (9, 9, 11, -10, 2, -5)
+    q6 = np.array([float.fromhex(h) for h in (
+        "-0x1.6d4037a627a94p+0", "-0x1.6d4037a627a94p+0", "-0x1.a4c32af6de6f7p+0",
+        "0x1.95d5932a64f4fp+0", "-0x1.44aadc21ea5d9p-2", "0x1.95d5932a64f4fp-1",
+    )])
+    dist, lam = _score(q6, a)
+    assert dist == _score(q6, b)[0] == 0.058312880917108956
+    for rows in ([a, b], [b, a]):
+        assert _best_row(q6, np.array(rows)) == (dist, a, lam)
+        assert _best_row(q6, np.array(rows, dtype=object)) == (dist, a, lam)
 
 
 def test_dist_nonincreasing_in_bound():
@@ -239,6 +256,24 @@ def test_heuristic_representative_is_canonical_for_negative_m11():
             res = best_rational_approx(q, R)
             assert not res.certified
             assert next(x for x in res.qprime.entries if x) > 0, (q.form, R, res.qprime)
+
+
+def test_both_paths_choose_and_print_by_the_scalar_score():
+    # the heuristic result is the least (dist, entries) by _score over its
+    # whole pool, and on both paths dist and lam are _score of the printed row
+    rng = np.random.default_rng(47)
+    for q in [SQF2] + [rand_normalized(rng) for _ in range(12)]:
+        q6 = np.asarray(q.form.entries, dtype=float)
+        for R in (2.0, 4.0, 16.0, 100.0, 1000.0):
+            res = best_rational_approx(q, R)
+            assert (res.dist, res.lam) == _score(q6, res.qprime.entries), (q.form, R)
+            if res.certified:
+                continue
+            pool = _heuristic_candidates(q6, int(R))
+            assert pool.dtype == object
+            rows = [tuple(row) for row in pool.tolist() if gram_determinant(*row) != 0]
+            assert all(next(x for x in row if x) > 0 for row in rows)
+            assert (res.dist, res.qprime.entries) == min((_score(q6, row)[0], row) for row in rows)
 
 
 def test_dist_is_a_python_float_on_both_paths():

@@ -406,6 +406,69 @@ def test_blas_thread_count_does_not_change_output(name, blas_threads):
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
+#: numpy's dispatch targets past X86_V3 (AVX512); NPY_DISABLE_CPU_FEATURES
+#: sends their loops back to the X86_V3 or baseline ones
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: the perfbench experiments that run approx; their references are byte-exact
+DISPATCH_PERFBENCH = ("rational_certified", "rational_heuristic", "dichotomy")
+
+_DISPATCH_PROBE = """
+import contextlib, io, json, sys
+from opplab.cli import main
+out = {}
+for name, argv in json.loads(sys.stdin.read()).items():
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert main(argv) == 0, name
+    out[name] = buf.getvalue()
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def without_avx512_loops():
+    """stdout of the golden and DISPATCH_PERFBENCH argv in one fresh process without numpy's AVX512 loops."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        pytest.skip("numpy 1.x names its dispatch targets otherwise")
+    if not ("X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4")):
+        pytest.skip("numpy does not dispatch X86_V4 loops on this host")
+    disabled = " ".join(t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t))
+    from test_perfbench_contract import PERFBENCH, WORKLOADS
+
+    experiments = {exp.name: exp for exps in WORKLOADS.values() for exp in exps}
+    argvs = dict(GOLDEN_CASES, **{name: experiments[name].argv(0) for name in DISPATCH_PERFBENCH})
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_PROBE], input=json.dumps(argvs), capture_output=True,
+        text=True, env=_fresh_env(NPY_DISABLE_CPU_FEATURES=disabled), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)
+    expected = {name: (GOLDEN / name).read_text() for name in GOLDEN_CASES}
+    for name in DISPATCH_PERFBENCH:
+        expected[name] = (PERFBENCH / "reference" / experiments[name].reference_name(0)).read_text()
+    return outputs, expected
+
+
+_VECTORIZED_POW = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP Direction 5(d): numpy's AVX512 power and exp round the points and energies differently",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_VECTORIZED_POW) if name.startswith(("projection.", "margulis.")) else name
+        for name in sorted(GOLDEN_CASES) + list(DISPATCH_PERFBENCH)
+    ],
+)
+def test_output_does_not_depend_on_numpys_avx512_loops(name, without_avx512_loops):
+    outputs, expected = without_avx512_loops
+    assert outputs[name] == expected[name]
+
+
 _PIN_PROBE = """
 import json, os, sys
 before = dict(os.environ)

@@ -563,11 +563,15 @@ def _allocating_tiles(x, step, upper=False):
     """Reference kernel: one allocating expression per tile, no reused buffers, no clip.
 
     With upper=True a tile is the strip of rows [i, i + step) by columns [i, n).
+    A point's entry with itself is +inf.
     """
     sq = np.sum(x**2, axis=1)
     for i in range(0, len(x), step):
         rows, cols = slice(i, i + step), slice(i if upper else 0, len(x))
-        yield i, sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x.T[:, cols])
+        d2 = sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x.T[:, cols])
+        k = np.arange(len(d2))
+        d2[k, k + i - cols.start] = math.inf
+        yield i, d2
 
 
 def _assert_tiles_match_allocating_formula(x, some_negative=True):
@@ -585,24 +589,37 @@ def _assert_tiles_match_allocating_formula(x, some_negative=True):
             # the formula the kernel yielded before tiles were left unclipped
             rows, cols = slice(i, i + step), slice(i if upper else 0, n)
             clipped = np.maximum(sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x.T[:, cols]), 0.0)
+            k = np.arange(len(g))
+            clipped[k, k + i - cols.start] = math.inf
             assert np.array_equal(np.maximum(g, 0.0), clipped)
         if some_negative:  # rounding leaves some entries below 0, so the clip is exercised
             assert any(np.any(g < 0) for _, g in got)
+
+
+def _with_copies(x, k):
+    """x with its last k rows replaced by copies of its first k.
+
+    The self-entries are +inf, so only the pairs of a point and its copy
+    leave the rounding residues near 0 that may fall below it.
+    """
+    x = x.copy()
+    x[-k:] = x[:k]
+    return x
 
 
 def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
     # 5-column configurations at the default tile size (300 points: a
     # 218-row tile and an 82-row one) and a 2-column xi image of 2000
     # points (32-row tiles, a 16-row last one)
-    _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(300, seed=1).points)
-    _assert_tiles_match_allocating_formula(xi(0.3, FiniteConfig.random_ball(2000, seed=0).points))
+    _assert_tiles_match_allocating_formula(_with_copies(FiniteConfig.random_ball(300, seed=1).points, 20))
+    _assert_tiles_match_allocating_formula(_with_copies(xi(0.3, FiniteConfig.random_ball(2000, seed=0).points), 20))
     # scaled far down (squared norms underflow to 0 at 1e-300 and are
     # subnormal at 1e-160) and far up (squared norms near 1e300); the
     # k = 2 sum must stay exact on every kernel path
     pts = FiniteConfig.random_ball(300, seed=3).points
     for scale in (1e-300, 1e-160):
         _assert_tiles_match_allocating_formula(pts * scale, some_negative=False)
-    _assert_tiles_match_allocating_formula(pts * 1e150)
+    _assert_tiles_match_allocating_formula(_with_copies(pts * 1e150, 20))
     # columns of magnitudes 1e-200 ... 1e100 in one configuration
     mixed = pts * np.array([1e-200, 1e-100, 1.0, 1e50, 1e100])
     _assert_tiles_match_allocating_formula(mixed, some_negative=False)
@@ -610,9 +627,9 @@ def test_pair_tiles_match_allocating_formula_bit_for_bit(monkeypatch):
     # matrix-vector product inside BLAS)
     ragged = FiniteConfig.random_ball(571, seed=4).points
     assert 571 % (projection._TILE_ENTRIES // 571) == 1
-    _assert_tiles_match_allocating_formula(ragged)
+    _assert_tiles_match_allocating_formula(_with_copies(ragged, 20))
     monkeypatch.setattr(projection, "_TILE_ENTRIES", 61 * 8)
-    _assert_tiles_match_allocating_formula(FiniteConfig.random_ball(61, radius=0.5, seed=12).points)
+    _assert_tiles_match_allocating_formula(_with_copies(FiniteConfig.random_ball(61, radius=0.5, seed=12).points, 10))
 
 
 def _energy_strips(img, b, alpha):
@@ -651,7 +668,6 @@ def test_projection_survey_energies_match_allocating_reduction():
             m = len(e)
             energy[i : i + m] = energy[i : i + m] + e.sum(axis=1)
             energy[i + m :] = energy[i + m :] + e[:, m:].sum(axis=0)
-        energy = energy - (1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0))
         assert np.array_equal(projection._image_sums(img, b * b, alpha)[1], energy)
         assert row.energy_median == float(np.median(energy))
         assert row.energy_p95 == float(np.percentile(energy, 95))
@@ -666,10 +682,24 @@ def test_survey_row_energies_match_fsum_of_each_row():
         img = xi(r, FiniteConfig.random_ball(n, seed=2).points)
         for alpha in (2.0, 1.5):
             energy = projection._image_sums(img, b * b, alpha)[1]
-            self_term = 1.0 / (b * b) if alpha == 2.0 else (b * b) ** (-alpha / 2.0)
             for got, terms in zip(energy, _entry_matrix(img, b, alpha).tolist()):
-                want = math.fsum(terms + [-self_term])
-                assert abs(got - want) <= 16 * math.ulp(math.fsum(terms)), (n, r, alpha)
+                want = math.fsum(terms)
+                assert abs(got - want) <= 16 * math.ulp(want), (n, r, alpha)
+
+
+def test_survey_energies_at_tiny_b_match_fsum_over_coordinate_differences():
+    # the self-pair adds nothing to an energy, so at tiny b no self term
+    # b^-alpha swamps the sum (the energies read 0.0 at b = 1e-12 when one
+    # was added and subtracted); the reference takes coordinate differences
+    img = xi(0.3, FiniteConfig.random_ball(200, seed=0).points)
+    for b in (1e-6, 1e-12):
+        for alpha in (2.0, 1.5):
+            energy = projection._image_sums(img, b * b, alpha)[1]
+            for i, got in enumerate(energy):
+                d2 = np.sum((img - img[i]) ** 2, axis=1)
+                d2[i] = math.inf
+                want = math.fsum(np.maximum(d2, b * b) ** (-alpha / 2.0))
+                assert abs(got - want) <= 1e-12 * want, (b, alpha, i, got, want)
 
 
 def _brute_counts(x, b):
@@ -781,8 +811,6 @@ def _row_profile(pts, b, m, alpha):
     at_floor = np.empty(len(pts), dtype=bool)
     for first, d2 in _allocating_tiles(pts, step):
         dist = np.sqrt(np.maximum(d2, 0.0))
-        k = np.arange(len(dist))
-        dist[k, first + k] = math.inf
         for i, row in enumerate(dist, start=first):
             nb = np.sort(row[row < b])
             at_floor[i] = len(nb) <= m
@@ -903,10 +931,10 @@ def test_strip_counts_take_the_self_pair_by_index():
     for b in (0.0, 1e-12):
         want = _brute_counts(img, b)
         assert np.array_equal(projection_concentration(cfg, 0.3, b), want)
-        # a float64 b^2 of 0 makes the energies inf - inf instead of raising;
-        # only the counts are checked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.array_equal(projection._image_sums(img, np.float64(b * b), 1.5)[0], want)
+        # the self-entries add 0 to the energies, so even b^2 = 0 leaves them finite
+        counts, energies = projection._image_sums(img, b * b, 1.5)
+        assert np.array_equal(counts, want)
+        assert np.all(np.isfinite(energies))
     params = ProjectionParams(alpha=2.0, b1=1e-12, b=1e-12, eps=1e-5, egbd=1.0)
     row = projection_survey(cfg, params, [0.3]).rows[0]
     assert (row.max_count, row.exceptional_fraction) == (1, 1.0)
