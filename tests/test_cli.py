@@ -451,7 +451,7 @@ def without_avx512_loops():
     return outputs, expected
 
 
-_VECTORIZED_POW = pytest.mark.xfail(
+_AVX512_DEPENDENT = pytest.mark.xfail(
     strict=True,
     reason="ROADMAP Direction 5(d): numpy's AVX512 power and exp round the points and energies differently",
 )
@@ -460,7 +460,7 @@ _VECTORIZED_POW = pytest.mark.xfail(
 @pytest.mark.parametrize(
     "name",
     [
-        pytest.param(name, marks=_VECTORIZED_POW) if name.startswith(("projection.", "margulis.")) else name
+        pytest.param(name, marks=_AVX512_DEPENDENT) if name.startswith(("projection.", "margulis.")) else name
         for name in sorted(GOLDEN_CASES) + list(DISPATCH_PERFBENCH)
     ],
 )
