@@ -66,8 +66,8 @@ _EXPORTS = {
         "find_witness", "main_term_constant", "witness_table",
     ),
     "errors": (
-        "CapacityExceeded", "DefiniteForm", "DegenerateForm", "EmptyConfig", "NoCandidate",
-        "OppLabError", "SignatureMismatch",
+        "CapacityExceeded", "DefiniteForm", "DegenerateForm", "EmptyConfig", "OppLabError",
+        "SignatureMismatch",
     ),
     "flows": (
         "Basepoint", "EquidistReport", "GroupElement", "LatticePoint", "act", "bump_mass",

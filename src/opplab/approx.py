@@ -8,13 +8,14 @@ so that lam*Q' always has determinant +1, matching the normalize()
 convention.  best_rational_approx minimizes dist = sup-norm of the entry
 difference Q - lam(Q')*Q' over integral Q' with entries bounded by R.  A
 heuristic candidate generator (integer-multiple rounding plus a weighted
-7-dimensional lattice reduction) gives an upper bound.  Up to R = 12 a
-branch-and-bound certifies the optimum over the canonical half of the
-entry box (dist is invariant under Q' -> -Q', so only representatives
-with util.canonical_mask's sign count): the best heuristic distance
-confines lam, and with it every entry, to a few integers, and only those
-candidates are scored.  Beyond R = 12 the best canonical heuristic
-candidate is reported, flagged non-certified.
+7-dimensional lattice reduction) serves R beyond 12, where the best
+canonical heuristic candidate is reported, flagged non-certified.  Up to
+R = 12 a branch-and-bound certifies the optimum over the canonical half of
+the entry box (dist is invariant under Q' -> -Q', so only representatives
+with util.canonical_mask's sign count) and builds no lattice: the best of
+_incumbent's rounded multiples bounds the optimum, that bound confines lam,
+and with it every entry, to a few integers, and only those candidates are
+scored.
 
 Both paths choose and print by one scorer, _score: lam from the exact
 integer determinant by the scalar signed_inverse_cuberoot, then one scalar
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import lattice
 from .enumeration import WitnessTable, witness_table
-from .errors import NoCandidate, _Capacity
+from .errors import _Capacity
 from .forms import NormalizedForm, as_form, gram_determinant, normalize
 from .util import canonical_mask, power
 
@@ -228,7 +229,10 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> tuple[float, tuple[int, ...], 
     of _search_boxes within that bound are scored.  The scores are
     _best_row's, as in a scan of the whole half-box, and the minimum is
     taken in (dist, entries) order, so the result is the same
-    lexicographically least minimizer, bit for bit.
+    lexicographically least minimizer, bit for bit.  Some box always holds
+    a candidate: _incumbent's pool holds (1, -1, -1, 0, 0, 0), which has
+    det 1, is canonical and lies in the entry box at every r, so d is at
+    least the optimum and the box of a minimizer is searched.
     """
     incumbent = _incumbent(q6, r)
     # rounding in the scores and in the bounds of _search_boxes is a few
@@ -242,15 +246,8 @@ def _exhaustive_search(q6: np.ndarray, r: int) -> tuple[float, tuple[int, ...], 
     boxes = list(_search_boxes(q6, r, d))
     for ranges in boxes:
         tally.add(math.prod(hi - lo + 1 for lo, hi in ranges))
-    best: Optional[tuple[float, tuple[int, ...], float]] = None
-    for ranges in boxes:
-        for m in _box_tiles(ranges):
-            res = _best_row(q6, m)
-            if res is not None and (best is None or res < best):
-                best = res
-    if best is None:
-        raise NoCandidate(f"no nondegenerate integral form with entries in [-{r}, {r}]")
-    return best
+    scores = (_best_row(q6, m) for ranges in boxes for m in _box_tiles(ranges))
+    return min(res for res in scores if res is not None)
 
 
 def _multiples(q6: np.ndarray, r: int) -> int:

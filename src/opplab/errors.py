@@ -42,10 +42,6 @@ class CapacityExceeded(OppLabError):
     """A kernel would do more work than the ceiling allows."""
 
 
-class NoCandidate(OppLabError):
-    """A search space turned out to contain no admissible candidate."""
-
-
 class EmptyConfig(OppLabError):
     """A finite point configuration with zero points was passed where mass is required."""
 

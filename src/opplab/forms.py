@@ -127,9 +127,6 @@ class TernaryForm:
         m = (m + m.T) / 2.0
         return cls(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
 
-    def to_json_obj(self) -> dict[str, float]:
-        return {k: float(v) for k, v in zip(_ENTRY_KEYS, self.entries)}
-
     @classmethod
     def from_json_obj(cls, obj) -> "TernaryForm":
         """Parse the JSON form of a form.
@@ -165,12 +162,12 @@ class NormalizedForm:
     ``scale`` is the positive factor c = |det|^(-1/3) applied to the input
     entries; a sign flip is applied on top of it when the input determinant
     was negative.  ``form.scaled(1/scale)`` recovers the input up to that
-    sign.
+    sign.  The determinant and signature are the form's own:
+    ``form.determinant()`` is +1 up to rounding and ``form.signature()`` is
+    (1, 2).
     """
 
     form: TernaryForm
-    determinant: float
-    signature: tuple[int, int]
     scale: float
 
 
@@ -202,13 +199,7 @@ def normalize(form: TernaryForm) -> NormalizedForm:
     if not form.is_indefinite():
         raise DefiniteForm("normalize requires an indefinite form")
     scale = abs(det) ** (-1.0 / 3.0)
-    scaled = form.scaled(scale if det > 0 else -scale)
-    return NormalizedForm(
-        form=scaled,
-        determinant=scaled.determinant(),
-        signature=scaled.signature(),
-        scale=scale,
-    )
+    return NormalizedForm(form=form.scaled(scale if det > 0 else -scale), scale=scale)
 
 
 def read_json_arg(text: str, what: str):

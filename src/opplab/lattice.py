@@ -477,10 +477,8 @@ def shortest_vector_coeffs(basis) -> tuple[np.ndarray, float]:
     length resolve to the lexicographically least coefficient tuple.
     """
     frame = _Frames(*lll_reduce(_basis3(basis)))
+    # never empty: the shortest reduced column's walk norm is the very sum of short2
     coeffs, norms2, _ = frame.walk(frame.shortest_radii())
-    if not len(norms2):
-        # cannot happen for a nonsingular basis: the shortest reduced column qualifies
-        raise CapacityExceeded("shortest-vector enumeration returned no candidates")
     coeffs = frame.original(coeffs)
     coeffs = np.where(canonical_mask(coeffs)[:, None], coeffs, -coeffs)
     lengths = np.sqrt(norms2)

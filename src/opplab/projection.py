@@ -34,8 +34,7 @@ b, the injectivity radius being frozen to 1 in this linearized picture),
 where dropping exactly the M smallest norms (_truncated_energies, for
 margulis_value and each point of a profile) realizes the minimum over all
 ways to discard M returns (exchange argument; the test suite cross-checks
-against exhaustive subset enumeration).  Weights on configurations are
-carried for bookkeeping but never bias counts or energies here.
+against exhaustive subset enumeration).
 
 Every pairwise quantity (neighbour counts, clipped energies, near returns)
 comes from one kernel, ``_pair_tiles``, which yields the squared-distance
@@ -44,9 +43,9 @@ exact k = 2 matmul, the Gram block from x[rows] @ x.T; see _pair_tiles)
 in blocks of rows, each at most ``_TILE_ENTRIES`` entries (512 KiB per
 float64 buffer, so a tile and its Gram block stay in a 2 MiB L2 cache).
 The matrix is symmetric, so the counts of projection_concentration and
-nonconcentration_constant and the counts and energies of a survey take
-upper-triangle strips (rows [i, i + m) by columns [i, n)) and evaluate
-each unordered pair once; _add_strip adds a strip's row sums to its own
+nonconcentration_constant (one _strip_counts pass) and the counts and
+energies of a survey take upper-triangle strips (rows [i, i + m) by
+columns [i, n)) and evaluate each unordered pair once; _add_strip adds a strip's row sums to its own
 points and the column sums of its off-diagonal part to the later points.
 The truncated-energy profiles of improvement_step_sim take whole rows.
 The kernel allocates its two buffers once per call and refills them for
@@ -184,14 +183,9 @@ def expansion_check_rows(W: np.ndarray, r: np.ndarray, ell: np.ndarray):
 
 @dataclass
 class FiniteConfig:
-    """A finite set of representation vectors, optionally weighted.
-
-    Weights must be nonnegative and sum to 1 (within 1e-12); they are
-    carried through serialization but do not enter counts or energies.
-    """
+    """A finite set of representation vectors: an (n, 5) array of finite points."""
 
     points: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -200,15 +194,6 @@ class FiniteConfig:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         self.points = pts
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (len(pts),):
-                raise ValueError("weights length must match the number of points")
-            if not np.all((w >= 0) & (w < math.inf)):
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-            self.weights = w
 
     def __len__(self) -> int:
         return len(self.points)
@@ -221,20 +206,12 @@ class FiniteConfig:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FiniteConfig":
+        """Parse a list of points, or an object whose one key is "points"; other keys raise ValueError."""
         if isinstance(obj, dict):
-            return cls(
-                points=np.asarray(obj["points"], dtype=float),
-                weights=None if obj.get("weights") is None else np.asarray(obj["weights"]),
-            )
+            if set(obj) != {"points"}:
+                raise ValueError(f"a configuration object takes the one key 'points', got keys {sorted(obj)}")
+            obj = obj["points"]
         return cls(points=np.asarray(obj, dtype=float))
-
-    def to_json_obj(self):
-        if self.weights is None:
-            return [[float(x) for x in row] for row in self.points]
-        return {
-            "points": [[float(x) for x in row] for row in self.points],
-            "weights": [float(x) for x in self.weights],
-        }
 
 
 def _check_point_ceiling(n: int) -> None:
@@ -289,6 +266,19 @@ def _add_strip_hits(counts: np.ndarray, first: int, strip: np.ndarray, b2: float
     itself start at 1.
     """
     _add_strip(counts, first, np.less_equal(strip, b2, out=_tile_view(mask_buf, strip.shape)))
+
+
+def _strip_counts(x: np.ndarray, b2s: Sequence[float]) -> np.ndarray:
+    """counts[k, i]: how many points of x lie within sqrt(b2s[k]) of point i, itself included.
+
+    One pass over the upper-triangle strips serves every square b2 in b2s.
+    """
+    counts = np.ones((len(b2s), len(x)), dtype=np.int64)
+    mask_buf = _tile_buffer(len(x), bool)
+    for i, d2 in _pair_tiles(x, upper=True):
+        for row, b2 in zip(counts, b2s):
+            _add_strip_hits(row, i, d2, b2, mask_buf)
+    return counts
 
 
 def _pair_tiles(x: np.ndarray, upper: bool = False):
@@ -383,12 +373,7 @@ def nonconcentration_constant(config: FiniteConfig, alpha: float, b1: float) -> 
     _Capacity(f"scanned-pair units of {len(scales)} scales on {n} points").add(
         len(scales) * (n * n // _PAIRS_PER_UNIT)
     )
-    counts = np.ones((len(scales), n), dtype=np.int64)
-    mask_buf = _tile_buffer(n, bool)
-    for i, d2 in _pair_tiles(pts, upper=True):
-        for k, scale in enumerate(scales):
-            _add_strip_hits(counts[k], i, d2, scale * scale, mask_buf)
-    top = counts.max(axis=1).tolist()
+    top = _strip_counts(pts, [scale * scale for scale in scales]).max(axis=1).tolist()
     return max(float(count) / (scale**alpha * n) for count, scale in zip(top, scales))
 
 
@@ -400,11 +385,7 @@ def projection_concentration(config: FiniteConfig, r: float, b: float) -> np.nda
         raise ValueError(f"r and b must be finite, got r={r}, b={b}")
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    counts = np.ones(len(config), dtype=np.int64)
-    mask_buf = _tile_buffer(len(config), bool)
-    for i, d2 in _pair_tiles(xi(r, config.points), upper=True):
-        _add_strip_hits(counts, i, d2, b * b, mask_buf)
-    return counts
+    return _strip_counts(xi(r, config.points), [b * b])[0]
 
 
 @dataclass(frozen=True)

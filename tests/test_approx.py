@@ -10,7 +10,9 @@ from opplab.approx import (
     ApproxResult,
     IntegralForm,
     _best_row,
+    _exhaustive_search,
     _heuristic_candidates,
+    _incumbent,
     _power_law_fit,
     _score,
     algebraicity_gap,
@@ -148,6 +150,21 @@ def test_exhaustive_equals_full_box_oracle():
         q = rand_normalized(rng)
         res = best_rational_approx(q, 3.0)
         assert res.dist == oracle_min_dist(q.form.entries, 3)
+
+
+def test_certified_search_never_scores_above_its_incumbent():
+    # the search needs no empty-result branch: (1,-1,-1,0,0,0) is in every
+    # entry box and in _incumbent's pool, so the bound covers the optimum and
+    # the minimizer's box is searched; r cycles through 1..12
+    rng = np.random.default_rng(30)
+    for i in range(200):
+        q6 = np.array(rand_normalized(rng).form.entries)
+        r = 1 + i % 12
+        bound = _incumbent(q6, r)
+        assert bound <= _score(q6, (1, -1, -1, 0, 0, 0))[0]
+        dist, entries, _ = _exhaustive_search(q6, r)
+        assert dist <= bound
+        assert max(abs(x) for x in entries) <= r
 
 
 def test_certified_search_returns_full_box_minimizer():

@@ -335,6 +335,27 @@ def test_theta_inline_and_file(tmp_path, capsys):
     assert set(obj) >= {"ratio_median", "rho_values", "floor_fraction_before"}
 
 
+@pytest.mark.parametrize("command", ["projection", "margulis"])
+def test_theta_object_takes_only_points(command, capsys):
+    # a configuration has points and nothing else: an object with another
+    # key, such as the weights that nothing read, exits 1 and names the key
+    points = [[0.01 * i, 0.02, 0.0, 0.0, 0.0] for i in range(1, 6)]
+    argv = [command, "--b", "0.1", "--format", "csv"]
+    if command == "projection":
+        argv += ["--r-count", "3"]
+    else:
+        argv += ["--r-samples", "2"]
+    assert main([*argv, "--theta", json.dumps(points)]) == 0
+    from_list = capsys.readouterr().out
+    assert main([*argv, "--theta", json.dumps({"points": points})]) == 0
+    assert capsys.readouterr().out == from_list
+    weighted = {"points": points, "weights": [0.2] * 5}
+    assert main([*argv, "--theta", json.dumps(weighted)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'weights'" in captured.err
+
+
 def test_heuristic_rows_are_canonical_and_keep_the_certified_sign(capsys):
     # the normalized m11 of this form is negative, so its rounded multiples
     # and lattice columns come out with a negative first entry

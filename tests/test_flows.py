@@ -199,7 +199,7 @@ def test_basepoint_factorization_residual_random_forms():
             continue
         checked += 1
         # normalize always lands on det +1, the eps = -1 side
-        assert nq.determinant == pytest.approx(1.0, abs=1e-9)
+        assert nq.form.determinant() == pytest.approx(1.0, abs=1e-9)
         base = form_to_basepoint(nq)
         assert base.residual <= 1e-9
         assert base.sign == -1.0

@@ -229,6 +229,26 @@ def test_shortest_vector_sheared_flow_basis():
     assert length == pytest.approx(best, rel=1e-9)
 
 
+def test_walk_at_the_shortest_radii_keeps_each_shortest_column():
+    # shortest_vector_coeffs needs no empty-walk branch: the walk norm of a
+    # reduced column is the very sum of short2, so each frame keeps it
+    rng = np.random.default_rng(30)
+    sheared = [
+        np.diag([T, 1.0, 1.0 / T]) @ flow_u(r).mat
+        for T in (1e2, 1e4, 1e6)
+        for r in rng.random(20)
+    ]
+    for bases in ([rand_basis(rng) for _ in range(200)], sheared, _siegel_bases()):
+        frame = lattice._Frames(*lll_reduce(np.stack(bases)))
+        coeffs, norms2, owner = frame.walk(frame.shortest_radii())
+        assert np.array_equal(np.unique(owner), np.arange(len(bases)))
+        for k in range(len(bases)):
+            kept = coeffs[owner == k]
+            column = int(np.argmin(np.linalg.norm(frame.Bred[k], axis=0)))
+            assert any(np.array_equal(np.abs(m), np.eye(3, dtype=np.int64)[column]) for m in kept)
+            assert np.min(norms2[owner == k]) <= frame.short2[k]
+
+
 def test_shortest_vector_canonical_sign():
     rng = np.random.default_rng(27)
     for _ in range(10):
