@@ -372,6 +372,8 @@ def dichotomy_report(
             raise ValueError(f"{name} is not finite: a_exp={a_exp}, k_exp={k_exp}")
     if not 0 < eps_eff < math.inf:
         raise ValueError(f"eps (by default R**-k_exp) must be positive and finite, got {eps_eff}")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     qn = q if isinstance(q, NormalizedForm) else normalize(q)
     approx = best_rational_approx(qn, R)
     thresholds = {

@@ -204,6 +204,8 @@ def _load_theta(args: argparse.Namespace) -> projection.FiniteConfig:
 
 
 def cmd_dichotomy(args) -> int:
+    if not 0 <= args.coverage_floor <= 1:
+        raise ValueError(f"--coverage-floor must be in [0, 1], got {args.coverage_floor}")
     outcome = approx.dichotomy_report(
         _form(args),
         args.R,

@@ -646,7 +646,9 @@ def main_term_constant(
     delta^(3/2) of volume there.  Richardson extrapolation over (delta,
     delta/2) with exponent 1/2 removes that term; the remaining bias is
     O(delta^(3/2)).  Returns (estimate, standard error), the latter from the
-    spread of independent seeded chunks.
+    spread of independent seeded chunks.  C_Q is positive, so an estimate
+    that is not (too few samples within delta/2 against those within
+    delta) raises ValueError.
     """
     form = as_form(q)
     if not 0 < delta <= 0.1:
@@ -667,7 +669,13 @@ def main_term_constant(
         e_full = np.count_nonzero(av <= delta) / size * _V_BALL / (2.0 * delta)
         e_half = np.count_nonzero(av <= delta / 2.0) / size * _V_BALL / delta
         estimates.append((_SQRT2 * e_half - e_full) / (_SQRT2 - 1.0))
-    return weighted_mean_stderr(estimates, sizes)
+    estimate, stderr = weighted_mean_stderr(estimates, sizes)
+    if not estimate > 0.0:
+        raise ValueError(
+            f"the Monte Carlo estimate of C_Q is {estimate:g}, not positive: too few samples have "
+            f"|Q| <= delta = {delta:g}; raise delta or samples"
+        )
+    return estimate, stderr
 
 
 @dataclass(frozen=True)
@@ -710,11 +718,6 @@ def count_vs_main_term(
     blocks = _window_hits(form, a, b, max(T * T for T in T_list), _Capacity(_WORK))
     c_q, stderr = main_term_constant(q, delta=delta, samples=samples, seed=seed)
     degenerate = b == a
-    if c_q == 0.0 and not degenerate:
-        raise ValueError(
-            f"the main term is 0: no Monte Carlo sample has |Q| <= delta = {delta:g}; "
-            "raise delta or samples"
-        )
     counts = _ladder_counts(blocks, T_list)
     reports = []
     for T, n in zip(T_list, counts):

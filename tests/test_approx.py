@@ -377,6 +377,18 @@ def test_dichotomy_requires_meaningful_threshold():
         dichotomy_report(SQF2, 0.5, 100.0)
 
 
+@pytest.mark.parametrize("grid_step", [0.0, -1.0, math.inf, math.nan])
+def test_dichotomy_grid_step_is_checked_before_the_search(grid_step, monkeypatch):
+    # the rational branch never builds the grid, so a bad step used to be
+    # echoed in the thresholds instead of refused
+    def no_search(*args, **kwargs):
+        raise AssertionError("the approximation search ran")
+
+    monkeypatch.setattr(approx, "best_rational_approx", no_search)
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        dichotomy_report(SQF2, 2.0, 20.0, grid_step=grid_step)
+
+
 def test_dichotomy_accepts_raw_form():
     out = dichotomy_report(TernaryForm(1.0, -1.0, -1.0), 2.0, 16.0)
     assert out.branch == "rational_approx"

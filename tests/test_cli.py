@@ -24,6 +24,8 @@ MARGULIS_HUGE_ELL = ("180", "200", "1e300", "-1e300")
 LONG_T_LIST = ",".join(str(20 + i) for i in range(20_000))
 #: 30 heuristic entry bounds from 300,000 up, 4e7 candidates each
 LONG_R_LADDER = ",".join(str(300_000 + i) for i in range(30))
+#: dichotomy grid steps that are not positive
+BAD_GRIDS = ("--grid=0", "--grid=-1")
 
 GOLDEN_CASES = {
     "witness.csv": [
@@ -190,6 +192,17 @@ def test_golden_json_outputs_parse():
         # a missing file, named by the one reader of both arguments
         ["count", "--form", "missing.json", "--a", "0", "--b", "1", "--T", "3"],
         ["projection", "--theta", "missing.json"],
+        # a Monte Carlo constant that is not positive: at delta = 1e-5 the
+        # Richardson step of 10,000 samples reads -50.56
+        ["count", "--form", SQF2, "--a=-1", "--b=1", "--T", "5", "--samples", "10000", "--delta", "1e-5"],
+        ["cq", "--form", SQF2, "--samples", "10000", "--delta", "1e-5"],
+        # a dichotomy grid step that is not positive, checked before the search
+        # (the rational branch wins here and never builds the grid)
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "20", "--grid=0"],
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "20", "--grid=-1"],
+        # a coverage floor outside [0, 1]
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "20", "--coverage-floor", "1.5"],
+        ["dichotomy", "--form", SQF2, "--R", "2", "--T", "20", "--coverage-floor=-0.1"],
     ],
 )
 def test_usage_and_domain_errors_exit_1(argv, capsys):
@@ -198,8 +211,14 @@ def test_usage_and_domain_errors_exit_1(argv, capsys):
     assert captured.err.startswith("error:")
     if argv[:1] == ["equidist"] and argv[4] in HUGE_T:
         assert "too large to reduce in float64" in captured.err
-    if any(arg.startswith("--grid") for arg in argv):
+    if any(arg in BAD_GRIDS for arg in argv):
+        assert "grid_step must be positive" in captured.err
+    elif any(arg.startswith("--grid") for arg in argv):
         assert "witness targets" in captured.err and "ceiling" in captured.err
+    if "--delta" in argv:
+        assert "raise delta or samples" in captured.err
+    if any(arg.startswith("--coverage-floor") for arg in argv):
+        assert "--coverage-floor must be in [0, 1]" in captured.err
     if LONG_T_LIST in argv:
         assert "Siegel samples" in captured.err and "ceiling" in captured.err
     if LONG_R_LADDER in argv:

@@ -9,6 +9,8 @@ renamed function, parameter or option breaks ``perfbench/run.py`` (with
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,3 +99,13 @@ def test_every_workload_argv_parses(workload):
     for experiment in WORKLOADS[workload]:
         args = parser.parse_args(experiment.argv(0))
         assert args.command == experiment.args[0]
+
+
+def test_a_zero_second_run_makes_one_checked_pass():
+    # scripts/bench_pairs.py gates its timing on this: with `--seconds 0`
+    # run.py runs the workload's list once and checks every output
+    argv = [sys.executable, str(PERFBENCH / "run.py"), "--workload", "orbits", "--seed", "0", "--seconds", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] == 1 and result["failed"] == 0 and result["correct"]
