@@ -226,9 +226,9 @@ def main() -> int:
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             outcomes, pair[side] = run_side(run, clones[side][1], runs)
             expected = first_run.setdefault(side, outcomes)
-            for argv, got, want in zip(runs, outcomes, expected):
+            for cmd, got, want in zip(runs, outcomes, expected):
                 if got != want:
-                    raise SystemExit(f"error: pair {i}: on the {side} side `opplab {shlex.join(argv)}` exited "
+                    raise SystemExit(f"error: pair {i}: on the {side} side `opplab {shlex.join(cmd)}` exited "
                                      f"{got[0]} (first run: {want[0]}) or printed other stdout or stderr: "
                                      f"{got[2][-2000:]!r}")
         pairs.append(pair)
